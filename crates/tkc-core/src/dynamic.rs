@@ -1,21 +1,52 @@
 //! Incremental maintenance of all κ(e) under edge insertions and deletions
 //! — the paper's Algorithm 2, with the appendix's Algorithms 5–7 realized
-//! through the per-triangle discipline its correctness proof rests on:
+//! through the locality its correctness proof rests on:
 //!
 //! * **Rule 0**: when a single triangle appears or disappears, only edges
 //!   whose κ equals μ — the minimum κ over the triangle's three edges — can
 //!   change, and they change by exactly 1 (Lemmas 1–2).
 //!
-//! We therefore process one triangle at a time. An inserted edge enters the
-//! graph with all of its triangles *inactive* (excluded from support
-//! counting, so its κ correctly starts at 0); activating a triangle runs a
-//! *promote closure* at level μ. Deleting an edge first *deactivates* its
-//! triangles one at a time (each a *demote cascade* at level μ) and only
-//! then removes the edge. After every public operation the maintained κ
-//! vector equals what Algorithm 1 would compute from scratch — a property
-//! the test-suite checks exhaustively on random edit scripts.
+//! While an edge `e = {u, v}` is updated, some of its triangles are
+//! *inactive* (excluded from support counting). Every one of them contains
+//! `e`, so it is named by its third vertex in a stamped per-vertex mark
+//! array (`Pending`) — no hashing on the hot path.
+//!
+//! **Insertion** processes one triangle at a time. The new edge enters the
+//! graph with all of its triangles inactive, so its κ correctly starts at
+//! 0; activating a triangle runs a *promote closure* at level μ. The new
+//! edge's own κ climbs one level per triangle, so the closures are not
+//! shared.
+//!
+//! **Deletion** runs one *demote cascade* per distinct level, not one per
+//! dying triangle. Every dying triangle is marked inactive up front and
+//! grouped by its μ, taken before any cascade runs. Each group's level-μ
+//! edges, other than `e` itself, seed one cascade at level μ, and the
+//! levels run in ascending order. This is exact (Zhou & Liu, *Efficient
+//! Truss Maintenance in Evolving Networks*):
+//!
+//! 1. An edge `f ≠ e` shares at most one triangle with `e`, so its κ drops
+//!    by at most one.
+//! 2. A level-k cascade reads only edges with κ ≥ k, and it moves edges
+//!    only from k to k − 1. It demotes an edge only when fewer than k of
+//!    its active triangles have both other edges at κ ≥ k, so it never
+//!    demotes an edge whose final κ is k; and an edge at level k loses
+//!    level-k support only through a dying triangle of μ = k (a seed) or
+//!    a level-k neighbor dropping (the cascade), so it misses none.
+//! 3. A cascade at a higher level j moves edges from j to j − 1 ≥ k, so
+//!    they still count at level k, and by (1) they fall no further.
+//!    Levels therefore do not interact when they run low to high.
+//! 4. Run high to low, an edge just demoted from k + 1 to k would be
+//!    examined again by the level-k cascade. By (1)–(3) it would survive,
+//!    so the order does not change κ, only the work; ascending order
+//!    never shows a level-k cascade such an edge.
+//! 5. `e` is in every dying triangle, all of which are inactive, so its κ
+//!    affects no other edge. It is never demoted, only dropped.
+//!
+//! After every public operation the maintained κ vector equals what
+//! Algorithm 1 would compute from scratch — a property the test-suite
+//! checks exhaustively on random edit scripts.
 
-use tkc_graph::{EdgeId, FxHashMap, FxHashSet, Graph, GraphError, VertexId};
+use tkc_graph::{EdgeId, Graph, GraphError, VertexId};
 
 use crate::decompose::triangle_kcore_decomposition;
 
@@ -29,7 +60,8 @@ pub struct UpdateStats {
     pub triangles_removed: u64,
     /// Edges whose κ increased.
     pub promotions: u64,
-    /// Edges whose κ decreased.
+    /// Edges whose κ decreased. The removed edge itself is never demoted
+    /// (its κ affects no other edge), so it is not counted.
     pub demotions: u64,
     /// Candidate edges examined across all closures.
     pub edges_examined: u64,
@@ -69,6 +101,7 @@ pub struct DynamicTriangleKCore {
     kappa: Vec<u32>,
     stats: UpdateStats,
     scratch: Scratch,
+    pending: Pending,
 }
 
 /// Reusable stamped scratch arrays: `x_stamp[e] == stamp` means the entry
@@ -86,6 +119,7 @@ struct Scratch {
     s_stamp: Vec<u32>,
     s_val: Vec<u32>,
     tri_buf: Vec<(VertexId, EdgeId, EdgeId)>,
+    queue: Vec<EdgeId>,
 }
 
 impl Scratch {
@@ -110,13 +144,75 @@ impl Scratch {
     }
 }
 
-/// Sorted vertex triple identifying a triangle during a single update.
-type Triple = [VertexId; 3];
+/// The inactive triangles of the edge being updated. Each contains that
+/// edge, so it is named by its third vertex: `w` is pending iff
+/// `mark[w] == stamp`. Bumping `stamp` clears every mark in O(1); the
+/// buffers persist across operations.
+#[derive(Debug, Clone, Default)]
+struct Pending {
+    edge: EdgeId,
+    stamp: u32,
+    len: usize,
+    mark: Vec<u32>,
+    /// The updated edge's triangles `(w, e_uw, e_vw)`.
+    tris: Vec<(VertexId, EdgeId, EdgeId)>,
+    /// Demote seeds `(μ, edge)` of a deletion, sorted by level.
+    seeds: Vec<(u32, EdgeId)>,
+}
 
-fn triple(a: VertexId, b: VertexId, c: VertexId) -> Triple {
-    let mut t = [a, b, c];
-    t.sort_unstable();
-    t
+impl Pending {
+    /// Starts an update of `edge`: collects its triangles and marks every
+    /// one of them inactive.
+    fn begin(&mut self, g: &Graph, edge: EdgeId) {
+        if self.mark.len() < g.num_vertices() {
+            self.mark.resize(g.num_vertices(), 0);
+        }
+        if self.stamp == u32::MAX {
+            self.mark.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.edge = edge;
+        self.tris.clear();
+        self.seeds.clear();
+        g.for_each_triangle_on_edge(edge, |w, e_uw, e_vw| self.tris.push((w, e_uw, e_vw)));
+        for &(w, _, _) in &self.tris {
+            self.mark[w.index()] = self.stamp;
+        }
+        self.len = self.tris.len();
+    }
+
+    /// Activates the updated edge's triangle with third vertex `w`.
+    fn unmark(&mut self, w: VertexId) {
+        self.mark[w.index()] = 0;
+        self.len -= 1;
+    }
+
+    /// Whether the triangle that `f = {x, y}` forms with `w` (through
+    /// `e1 = {x, w}` and `e2 = {y, w}`) is inactive.
+    #[inline]
+    fn contains(
+        &self,
+        f: EdgeId,
+        (x, y): (VertexId, VertexId),
+        w: VertexId,
+        e1: EdgeId,
+        e2: EdgeId,
+    ) -> bool {
+        if self.len == 0 {
+            return false;
+        }
+        let third = if f == self.edge {
+            w
+        } else if e1 == self.edge {
+            y
+        } else if e2 == self.edge {
+            x
+        } else {
+            return false;
+        };
+        self.mark[third.index()] == self.stamp
+    }
 }
 
 impl DynamicTriangleKCore {
@@ -128,6 +224,7 @@ impl DynamicTriangleKCore {
             kappa,
             stats: UpdateStats::default(),
             scratch: Scratch::default(),
+            pending: Pending::default(),
         }
     }
 
@@ -143,6 +240,7 @@ impl DynamicTriangleKCore {
             kappa,
             stats: UpdateStats::default(),
             scratch: Scratch::default(),
+            pending: Pending::default(),
         }
     }
 
@@ -194,18 +292,16 @@ impl DynamicTriangleKCore {
         // A new edge with no *active* triangles has κ = 0.
         self.kappa[e.index()] = 0;
 
-        // Collect the created triangles, then activate them one at a time.
-        let mut new_triangles: Vec<(Triple, [EdgeId; 3])> = Vec::new();
-        self.g.for_each_triangle_on_edge(e, |w, e_uw, e_vw| {
-            new_triangles.push((triple(u, v, w), [e, e_uw, e_vw]));
-        });
-        let mut inactive: FxHashSet<Triple> = new_triangles.iter().map(|&(t, _)| t).collect();
-
-        for (t, edges) in new_triangles {
-            inactive.remove(&t);
+        // The created triangles start inactive; activate them one at a time.
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.begin(&self.g, e);
+        for i in 0..pending.tris.len() {
+            let (w, e_uw, e_vw) = pending.tris[i];
+            pending.unmark(w);
             self.stats.triangles_added += 1;
-            self.activate_triangle(edges, &inactive);
+            self.activate_triangle([e, e_uw, e_vw], &pending);
         }
+        self.pending = pending;
         Ok(e)
     }
 
@@ -221,23 +317,35 @@ impl DynamicTriangleKCore {
 
     /// Removes live edge `e` and incrementally updates κ (Algorithm 7).
     pub fn remove_edge(&mut self, e: EdgeId) -> Result<(), GraphError> {
-        let (u, v) = self
-            .g
-            .endpoints_checked(e)
-            .ok_or(GraphError::MissingEdge(VertexId(0), VertexId(0)))?;
-        // Deactivate each dying triangle one at a time; the edge itself
-        // stays in the graph (with maintained κ) until the end, exactly as
-        // in Algorithm 7 where t_del's edges include the dying edge.
-        let mut dying: Vec<(Triple, [EdgeId; 3])> = Vec::new();
-        self.g.for_each_triangle_on_edge(e, |w, e_uw, e_vw| {
-            dying.push((triple(u, v, w), [e, e_uw, e_vw]));
-        });
-        let mut inactive: FxHashSet<Triple> = FxHashSet::default();
-        for (t, edges) in dying {
-            inactive.insert(t);
-            self.stats.triangles_removed += 1;
-            self.deactivate_triangle(edges, &inactive);
+        if !self.g.is_live(e) {
+            return Err(GraphError::MissingEdge(VertexId(0), VertexId(0)));
         }
+        // Deactivate every dying triangle up front, then run one demote
+        // cascade per distinct μ in ascending order. The edge itself stays
+        // in the graph until the end but is never a seed: all of its
+        // triangles are inactive, so its κ affects no other edge.
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.begin(&self.g, e);
+        self.stats.triangles_removed += pending.tris.len() as u64;
+        let k = |x: EdgeId| self.kappa[x.index()];
+        for &(_, e_uw, e_vw) in &pending.tris {
+            let mu = k(e).min(k(e_uw)).min(k(e_vw));
+            for x in [e_uw, e_vw] {
+                // κ cannot drop below zero.
+                if mu > 0 && k(x) == mu {
+                    pending.seeds.push((mu, x));
+                }
+            }
+        }
+        pending.seeds.sort_unstable();
+        let mut i = 0;
+        while i < pending.seeds.len() {
+            let mu = pending.seeds[i].0;
+            let end = i + pending.seeds[i..].partition_point(|&(m, _)| m == mu);
+            self.demote_level(mu, &pending.seeds[i..end], &pending);
+            i = end;
+        }
+        self.pending = pending;
         self.g.remove_edge(e)?;
         self.kappa[e.index()] = 0;
         Ok(())
@@ -284,31 +392,25 @@ impl DynamicTriangleKCore {
     }
 
     /// Counts the *active* triangles on `f` whose other two edges satisfy
-    /// `ok`, where active means not in `inactive`.
-    fn count_active<F>(&self, f: EdgeId, inactive: &FxHashSet<Triple>, ok: F) -> u32
+    /// `ok`, where active means not in `pending`.
+    fn count_active<F>(&self, f: EdgeId, pending: &Pending, ok: F) -> u32
     where
         F: Fn(EdgeId) -> bool,
     {
-        self.count_active_capped(f, inactive, ok, u32::MAX)
+        self.count_active_capped(f, pending, ok, u32::MAX)
     }
 
     /// Like [`Self::count_active`] but stops as soon as `cap` qualifying
     /// triangles are found — for pure threshold tests (`> μ`?) on hub
     /// edges with hundreds of triangles, this turns O(deg) into O(μ)-ish.
-    fn count_active_capped<F>(
-        &self,
-        f: EdgeId,
-        inactive: &FxHashSet<Triple>,
-        ok: F,
-        cap: u32,
-    ) -> u32
+    fn count_active_capped<F>(&self, f: EdgeId, pending: &Pending, ok: F, cap: u32) -> u32
     where
         F: Fn(EdgeId) -> bool,
     {
-        let (x, y) = self.g.endpoints(f);
+        let ends = self.g.endpoints(f);
         let mut n = 0;
         self.g.for_each_triangle_on_edge_while(f, |w, e1, e2| {
-            if ok(e1) && ok(e2) && (inactive.is_empty() || !inactive.contains(&triple(x, y, w))) {
+            if ok(e1) && ok(e2) && !pending.contains(f, ends, w, e1, e2) {
                 n += 1;
             }
             n < cap
@@ -328,7 +430,7 @@ impl DynamicTriangleKCore {
     /// immediately, and expansion never proceeds through edges that cannot
     /// be promoted. When the traversal drains, the surviving candidates
     /// are exactly the peel fixpoint — no post-pass needed.
-    fn activate_triangle(&mut self, tri_edges: [EdgeId; 3], inactive: &FxHashSet<Triple>) {
+    fn activate_triangle(&mut self, tri_edges: [EdgeId; 3], pending: &Pending) {
         let [ea, eb, ec] = tri_edges;
         let mu = self.kappa[ea.index()]
             .min(self.kappa[eb.index()])
@@ -371,7 +473,7 @@ impl DynamicTriangleKCore {
                 } else {
                     let v = self.count_active_capped(
                         x,
-                        inactive,
+                        pending,
                         |y| self.kappa[y.index()] >= mu,
                         mu + 1,
                     );
@@ -428,7 +530,7 @@ impl DynamicTriangleKCore {
             // Exact current support: active triangles with both others
             // qualified. Counted triangles' unvisited level-μ members are
             // pushed so the optimism in `qual` resolves by termination.
-            let (fu, fv) = self.g.endpoints(f);
+            let ends = self.g.endpoints(f);
             tris.clear();
             self.g.for_each_triangle_on_edge(f, |w, e1, e2| {
                 tris.push((w, e1, e2));
@@ -436,7 +538,7 @@ impl DynamicTriangleKCore {
             let mut s = 0u32;
             let push_from = visit_stack.len();
             for &(w, e1, e2) in &tris {
-                if !inactive.is_empty() && inactive.contains(&triple(fu, fv, w)) {
+                if pending.contains(f, ends, w, e1, e2) {
                     continue;
                 }
                 if qual!(e1) && qual!(e2) {
@@ -470,7 +572,7 @@ impl DynamicTriangleKCore {
                     &mut scratch,
                     stamp,
                     mu,
-                    inactive,
+                    pending,
                     &mut tris,
                     &mut death_counter,
                 );
@@ -495,9 +597,9 @@ impl DynamicTriangleKCore {
     }
 
     /// Rule 0 locality audit (`check-invariants` builds only): after one
-    /// triangle activation/deactivation at level μ, every κ change across
-    /// the whole graph must be exactly ±1 and confined to edges that sat
-    /// at level μ before the closure ran.
+    /// promote closure or one level's demote cascade at level μ, every κ
+    /// change across the whole graph must be exactly ±1 and confined to
+    /// edges that sat at level μ before the closure ran.
     #[cfg(feature = "check-invariants")]
     fn debug_check_rule0(&self, before: &[u32], mu: u32, rising: bool) {
         let expected = if rising { mu + 1 } else { mu.saturating_sub(1) };
@@ -530,7 +632,7 @@ impl DynamicTriangleKCore {
         scratch: &mut Scratch,
         stamp: u32,
         mu: u32,
-        inactive: &FxHashSet<Triple>,
+        pending: &Pending,
         tris: &mut Vec<(VertexId, EdgeId, EdgeId)>,
         death_counter: &mut u32,
     ) {
@@ -538,13 +640,13 @@ impl DynamicTriangleKCore {
         const DEAD: u8 = 2;
         while let Some(f) = elim_stack.pop() {
             let my_seq = scratch.s_val[f.index()];
-            let (fu, fv) = self.g.endpoints(f);
+            let ends = self.g.endpoints(f);
             tris.clear();
             self.g.for_each_triangle_on_edge(f, |w, e1, e2| {
                 tris.push((w, e1, e2));
             });
             for &(w, e1, e2) in tris.iter() {
-                if !inactive.is_empty() && inactive.contains(&triple(fu, fv, w)) {
+                if pending.contains(f, ends, w, e1, e2) {
                     continue;
                 }
                 for (n, other) in [(e1, e2), (e2, e1)] {
@@ -569,7 +671,7 @@ impl DynamicTriangleKCore {
                         } else {
                             let v = self.count_active_capped(
                                 other,
-                                inactive,
+                                pending,
                                 |y| self.kappa[y.index()] >= mu,
                                 mu + 1,
                             );
@@ -600,36 +702,33 @@ impl DynamicTriangleKCore {
         }
     }
 
-    /// Demote cascade at level μ = min κ of the deactivated triangle's
-    /// edges: level-μ edges that lose their μ-th supporting triangle drop
-    /// to μ − 1 and may take level-μ neighbors with them.
-    fn deactivate_triangle(&mut self, tri_edges: [EdgeId; 3], inactive: &FxHashSet<Triple>) {
-        let [ea, eb, ec] = tri_edges;
-        let mu = self.kappa[ea.index()]
-            .min(self.kappa[eb.index()])
-            .min(self.kappa[ec.index()]);
-        if mu == 0 {
-            // κ cannot drop below zero and higher levels are unaffected
-            // (Rule 0).
-            return;
-        }
+    /// Demote cascade at level μ, seeded with the level-μ edges of the
+    /// dying triangles whose μ this is: level-μ edges left with fewer than
+    /// μ supporting triangles drop to μ − 1 and may take level-μ neighbors
+    /// with them. It reads only edges with κ ≥ μ.
+    fn demote_level(&mut self, mu: u32, seeds: &[(u32, EdgeId)], pending: &Pending) {
         #[cfg(feature = "check-invariants")]
         let kappa_before = self.kappa.clone();
 
-        // Support at level μ: active triangles whose other edges have κ ≥ μ.
-        let mut s: FxHashMap<EdgeId, u32> = FxHashMap::default();
-        let mut queue: Vec<EdgeId> = Vec::new();
-        for &f in &tri_edges {
-            if self.kappa[f.index()] == mu && !s.contains_key(&f) {
-                let at_level = |x: EdgeId| self.kappa[x.index()] >= mu;
-                let sf = self.count_active(f, inactive, at_level);
-                s.insert(f, sf);
+        // Support at level μ (active triangles whose other edges have
+        // κ ≥ μ) lives in the stamped `s_val`, computed at an edge's first
+        // touch and deducted as its neighbors drop.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.begin(self.g.edge_bound());
+        let stamp = scratch.stamp;
+        let mut queue = std::mem::take(&mut scratch.queue);
+        let mut examined = 0u64;
+        for &(_, f) in seeds {
+            if scratch.s_stamp[f.index()] != stamp {
+                let sf = self.count_active(f, pending, |x| self.kappa[x.index()] >= mu);
+                scratch.s_stamp[f.index()] = stamp;
+                scratch.s_val[f.index()] = sf;
+                examined += 1;
                 if sf < mu {
                     queue.push(f);
                 }
             }
         }
-        self.stats.edges_examined += s.len() as u64;
 
         while let Some(f) = queue.pop() {
             if self.kappa[f.index()] != mu {
@@ -639,42 +738,37 @@ impl DynamicTriangleKCore {
             self.stats.demotions += 1;
             // Neighbors at level μ lose every triangle shared with f whose
             // third edge is still ≥ μ.
-            let (x_v, y_v) = self.g.endpoints(f);
-            let mut losses: Vec<EdgeId> = Vec::new();
-            self.g.for_each_triangle_on_edge(f, |w, e1, e2| {
-                if inactive.contains(&triple(x_v, y_v, w)) {
+            let this = &*self;
+            let ends = this.g.endpoints(f);
+            this.g.for_each_triangle_on_edge(f, |w, e1, e2| {
+                if pending.contains(f, ends, w, e1, e2) {
                     return;
                 }
                 for (nbr, other) in [(e1, e2), (e2, e1)] {
-                    if self.kappa[nbr.index()] == mu && self.kappa[other.index()] >= mu {
-                        losses.push(nbr);
+                    if this.kappa[nbr.index()] != mu || this.kappa[other.index()] < mu {
+                        continue;
+                    }
+                    examined += 1;
+                    let s = if scratch.s_stamp[nbr.index()] == stamp {
+                        // Tracked: the triangle was counted while f sat at
+                        // level μ; deduct the loss.
+                        scratch.s_val[nbr.index()].saturating_sub(1)
+                    } else {
+                        // First touch: a fresh count already sees
+                        // κ(f) = μ − 1, so no deduction.
+                        this.count_active(nbr, pending, |x| this.kappa[x.index()] >= mu)
+                    };
+                    scratch.s_stamp[nbr.index()] = stamp;
+                    scratch.s_val[nbr.index()] = s;
+                    if s < mu {
+                        queue.push(nbr);
                     }
                 }
             });
-            for nbr in losses {
-                self.stats.edges_examined += 1;
-                let entry = match s.get_mut(&nbr) {
-                    Some(v) => {
-                        // Already tracked: the triangle was counted when the
-                        // support was computed (f was at level μ then, or it
-                        // was recomputed later); deduct the loss.
-                        *v = v.saturating_sub(1);
-                        *v
-                    }
-                    None => {
-                        // First touch: compute fresh — it already sees
-                        // κ(f) = μ − 1, so no deduction.
-                        let at_level = |x: EdgeId| self.kappa[x.index()] >= mu;
-                        let sv = self.count_active(nbr, inactive, at_level);
-                        s.insert(nbr, sv);
-                        sv
-                    }
-                };
-                if entry < mu && self.kappa[nbr.index()] == mu {
-                    queue.push(nbr);
-                }
-            }
         }
+        scratch.queue = queue;
+        self.scratch = scratch;
+        self.stats.edges_examined += examined;
         #[cfg(feature = "check-invariants")]
         self.debug_check_rule0(&kappa_before, mu, false);
     }
@@ -775,6 +869,48 @@ mod tests {
         for e in d.graph().edge_ids() {
             assert_eq!(d.kappa(e), 3);
         }
+    }
+
+    #[test]
+    fn removal_with_dying_triangles_at_two_levels() {
+        // K5 on {0..4} (κ = 3) plus a tail: 5 closes {0, 1, 5} and 6
+        // closes {0, 5, 6}, so κ(0-5) = κ(1-5) = 1. Removing 0-1 kills
+        // three triangles at μ = 3 and one at μ = 1: two level cascades.
+        let g = Graph::from_edges(
+            7,
+            generators::complete(5)
+                .edges()
+                .map(|(_, u, v)| (u.0, v.0))
+                .chain([(0, 5), (1, 5), (0, 6), (5, 6)]),
+        );
+        let mut d = DynamicTriangleKCore::new(g);
+        let k = |d: &DynamicTriangleKCore, u: u32, v: u32| {
+            d.kappa(d.graph().edge_between(VertexId(u), VertexId(v)).unwrap())
+        };
+        let e = d.graph().edge_between(VertexId(0), VertexId(1)).unwrap();
+        let mut mus = Vec::new();
+        d.graph().for_each_triangle_on_edge(e, |_, a, b| {
+            mus.push(d.kappa(e).min(d.kappa(a)).min(d.kappa(b)));
+        });
+        mus.sort_unstable();
+        mus.dedup();
+        assert_eq!(mus, [1, 3]);
+        let before = d.kappa_slice().to_vec();
+
+        d.remove_edge(e).unwrap();
+        assert_consistent(&d);
+        // Level 3: the other nine K5 edges drop to 2. Level 1: 1-5 loses
+        // its only triangle; 0-5 keeps {0, 5, 6}.
+        assert_eq!(k(&d, 2, 3), 2);
+        assert_eq!(k(&d, 0, 2), 2);
+        assert_eq!(k(&d, 1, 5), 0);
+        assert_eq!(k(&d, 0, 5), 1);
+        for f in d.graph().edge_ids() {
+            assert!(before[f.index()] - d.kappa(f) <= 1);
+        }
+        // Ten demotions; the removed edge itself is never demoted.
+        assert_eq!(d.stats().demotions, 10);
+        assert_eq!(d.stats().triangles_removed, 4);
     }
 
     #[test]

@@ -72,7 +72,21 @@ proptest! {
                     }
                 }
                 Op::Remove(a, b) => {
-                    let _ = dynamic.remove_edge_between(VertexId(a), VertexId(b));
+                    let before = dynamic.kappa_slice().to_vec();
+                    if let Ok(gone) = dynamic.remove_edge_between(VertexId(a), VertexId(b)) {
+                        // Removing one edge moves any other edge's κ by at
+                        // most one — what lets deletion share one demote
+                        // cascade per level.
+                        for e in dynamic.graph().edge_ids() {
+                            prop_assert!(e != gone);
+                            prop_assert!(
+                                dynamic.kappa(e).abs_diff(before[e.index()]) <= 1,
+                                "removing {:?} moved {:?} from {} to {}",
+                                (a, b), dynamic.graph().endpoints(e),
+                                before[e.index()], dynamic.kappa(e)
+                            );
+                        }
+                    }
                 }
             }
             let fresh = triangle_kcore_decomposition(dynamic.graph());
