@@ -5,10 +5,10 @@
 //! and compression against the raw-CSR yardstick, the out-of-core
 //! stratum peel under a hard resident budget **smaller than the raw CSR
 //! size**, and the engine's cold-start ladder — reopen from the packed
-//! store vs parsing the text snapshot vs rebuilding the decomposition
-//! from scratch. Writes the machine-readable record `BENCH_store.json`
-//! so future store PRs append to a trajectory instead of claiming
-//! speedups in prose.
+//! store vs re-decomposing a text snapshot vs rebuilding from the WAL.
+//! Writes the machine-readable record `BENCH_store.json` (with the
+//! `host` it ran on) so future store PRs append to a trajectory instead
+//! of claiming speedups in prose.
 //!
 //! ```text
 //! cargo run --release -p tkc-bench --bin bench_store            # full
@@ -32,12 +32,12 @@
 use std::path::Path;
 use std::time::Duration;
 
-use tkc_bench::{fmt_secs, seed_from_env, time};
+use tkc_bench::{fmt_secs, host_json, seed_from_env, time};
 use tkc_core::decompose::triangle_kcore_decomposition;
 use tkc_core::ooc::{decompose_ooc, OocConfig};
-use tkc_core::persist::{read_state, write_state, write_state_with_store};
+use tkc_core::persist::{read_state, write_state};
 use tkc_datasets::{build_streamed, StreamedConfig};
-use tkc_engine::{Engine, EngineConfig, WalOp, STATE_FILE, STORE_FILE};
+use tkc_engine::{Engine, EngineConfig, WalOp, STORE_FILE};
 use tkc_graph::csr::edge_supports_csr;
 use tkc_store::pack_graph;
 
@@ -84,6 +84,7 @@ fn millis(d: Duration) -> f64 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
+    let mode = if quick { "quick" } else { "full" };
     let out_path = args
         .iter()
         .position(|a| a == "--out")
@@ -105,8 +106,7 @@ fn main() {
         StreamedConfig::bench(seed)
     };
     tkc_obs::info!(
-        "bench_store ({} mode, seed {seed}): streaming {} vertices",
-        if quick { "quick" } else { "full" },
+        "bench_store ({mode} mode, seed {seed}): streaming {} vertices",
         cfg.vertices,
     );
     let g = build_streamed(&cfg);
@@ -123,8 +123,8 @@ fn main() {
     );
 
     // Pack: supports + κ into TKCSTOR, written into a scratch engine dir
-    // laid out exactly as compaction leaves it (stamped snapshot next to
-    // the store), so the cold-start ladder below opens a real dir.
+    // laid out exactly as compaction leaves it (the store is the only
+    // snapshot), so the cold-start ladder below opens a real dir.
     let dir = std::env::temp_dir().join(format!("tkc_bench_store_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("create bench dir");
@@ -133,9 +133,9 @@ fn main() {
     let (file_bytes, pack_time) = best_of(reps, || {
         let parts = pack_graph(&g, &supports, Some(reference.kappa_slice())).expect("pack");
         let bytes = parts.write_path(&store_path).expect("write store");
-        (bytes, parts.stamp(), parts.info())
+        (bytes, parts.info())
     });
-    let (store_bytes, stamp, info) = file_bytes;
+    let (store_bytes, info) = file_bytes;
     let raw_csr_bytes = info.raw_csr_bytes();
     let bytes_per_edge = store_bytes as f64 / edges.max(1) as f64;
     let ratio_vs_raw_csr = store_bytes as f64 / raw_csr_bytes.max(1) as f64;
@@ -180,39 +180,27 @@ fn main() {
         ooc.stats.pulled_edges,
     );
 
-    // Cold-start ladder: the same Engine::open against progressively
-    // poorer starting points. The dir now holds the store; add the
-    // stamped snapshot so open takes the fast path, then measure a
-    // stampless (text-only) dir, then a batch re-decomposition (text
-    // parse + full peel), and finally the true rebuild — Engine::open
-    // of a WAL-only dir, replaying every op through the dynamic
-    // maintainer, which is what cold start costs with no snapshot at
-    // all and what the packed store exists to avoid.
-    let state_path = dir.join(STATE_FILE);
-    let file = std::fs::File::create(&state_path).expect("create state");
-    write_state_with_store(&g, reference.kappa_slice(), Some(&stamp), file).expect("write state");
+    // Cold-start ladder: the packed dir opened by Engine::open, then a
+    // batch re-decomposition of the same state from a text snapshot (text
+    // parse + full peel), and finally the true rebuild — Engine::open of
+    // a WAL-only dir, replaying every op through the dynamic maintainer,
+    // which is what cold start costs with no snapshot at all and what
+    // the packed store exists to avoid.
     let store_open = best_of_serial(reps, || {
         let engine = Engine::open(raw_config(&dir)).expect("store reopen");
-        assert_eq!(engine.metrics().store_reopens.get(), 1, "must fast-path");
-        engine
-    });
-
-    let text_dir = dir.join("text_only");
-    std::fs::create_dir_all(&text_dir).expect("create text dir");
-    let file = std::fs::File::create(text_dir.join(STATE_FILE)).expect("create state");
-    write_state(&g, reference.kappa_slice(), file).expect("write text state");
-    let text_open = best_of_serial(reps, || {
-        let engine = Engine::open(raw_config(&text_dir)).expect("text reopen");
         assert_eq!(
-            engine.metrics().store_reopens.get(),
-            0,
-            "must not fast-path"
+            engine.snapshot().num_edges(),
+            edges,
+            "store reopen lost edges"
         );
         engine
     });
 
+    let text_path = dir.join("redecompose.tkc");
+    let file = std::fs::File::create(&text_path).expect("create text state");
+    write_state(&g, reference.kappa_slice(), file).expect("write text state");
     let redecompose = best_of_serial(reps, || {
-        let file = std::fs::File::open(text_dir.join(STATE_FILE)).expect("open state");
+        let file = std::fs::File::open(&text_path).expect("open text state");
         let (g2, _stored_kappa) = read_state(file).expect("parse state");
         let d = triangle_kcore_decomposition(&g2);
         assert_eq!(d.max_kappa(), max_kappa, "re-decomposition diverged");
@@ -244,22 +232,20 @@ fn main() {
     let rebuild = best_of_serial(1, || {
         let engine = Engine::open(raw_config(&wal_dir)).expect("wal replay");
         assert_eq!(
-            engine.metrics().store_reopens.get(),
-            0,
-            "must not fast-path"
+            engine.snapshot().num_edges(),
+            edges,
+            "wal replay lost edges"
         );
         engine
     });
 
-    let speedup_vs_text = millis(text_open) / millis(store_open).max(1e-9);
     let speedup_vs_redecompose = millis(redecompose) / millis(store_open).max(1e-9);
     let speedup_vs_rebuild = millis(rebuild) / millis(store_open).max(1e-9);
     tkc_obs::info!(
-        "  cold start: store {} s, text {} s ({speedup_vs_text:.1}x), \
+        "  cold start: store {} s, \
          re-decompose {} s ({speedup_vs_redecompose:.1}x), \
          wal replay {} s ({speedup_vs_rebuild:.1}x)",
         fmt_secs(store_open),
-        fmt_secs(text_open),
         fmt_secs(redecompose),
         fmt_secs(rebuild),
     );
@@ -274,8 +260,9 @@ fn main() {
         concat!(
             "{{\n",
             "  \"bench\": \"store\",\n",
-            "  \"version\": 1,\n",
+            "  \"version\": 2,\n",
             "  \"mode\": \"{mode}\",\n",
+            "  \"host\": {host},\n",
             "  \"seed\": {seed},\n",
             "  \"graph\": {{\"source\":\"streamed\",\"vertices\":{vertices},",
             "\"edges\":{edges},\"max_kappa\":{max_kappa}}},\n",
@@ -287,14 +274,13 @@ fn main() {
             "\"peak_resident_bytes\":{peak},\"spilled_bytes\":{spilled},",
             "\"kappa_identical\":true}},\n",
             "  \"cold_start\": {{\"reopen_store_millis\":{so:.3},",
-            "\"reopen_text_millis\":{to:.3},",
             "\"redecompose_millis\":{rd:.3},\"rebuild_wal_millis\":{rb:.3},",
-            "\"speedup_store_vs_text\":{svt:.2},",
             "\"speedup_store_vs_redecompose\":{svd:.2},",
             "\"speedup_store_vs_rebuild\":{svr:.2}}}\n",
             "}}\n",
         ),
-        mode = if quick { "quick" } else { "full" },
+        mode = mode,
+        host = host_json(mode),
         seed = seed,
         vertices = vertices,
         edges = edges,
@@ -311,10 +297,8 @@ fn main() {
         peak = peak,
         spilled = ooc.stats.spilled_bytes,
         so = millis(store_open),
-        to = millis(text_open),
         rd = millis(redecompose),
         rb = millis(rebuild),
-        svt = speedup_vs_text,
         svd = speedup_vs_redecompose,
         svr = speedup_vs_rebuild,
     );

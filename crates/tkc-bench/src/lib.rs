@@ -42,6 +42,37 @@ pub fn fmt_secs(d: Duration) -> String {
     }
 }
 
+/// The `host` object a `BENCH_*.json` record carries: logical CPUs the
+/// process may use, the CPU model, the commit the binary was run from
+/// (`git describe --always --dirty`: `-dirty` marks uncommitted edits;
+/// `unknown` outside a checkout), and the run mode.
+pub fn host_json(mode: &str) -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, m)| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=7"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    let bare = |s: &str| s.replace(['"', '\\'], "");
+    format!(
+        "{{\"nproc\":{nproc},\"cpu\":\"{}\",\"commit\":\"{}\",\"mode\":\"{}\"}}",
+        bare(&cpu),
+        bare(&commit),
+        bare(mode)
+    )
+}
+
 /// Global scale multiplier from `TKC_SCALE` (default 1.0).
 pub fn scale_from_env() -> f64 {
     std::env::var("TKC_SCALE")

@@ -661,43 +661,23 @@ fn store(p: &crate::args::Parsed) -> Result<(), String> {
 ///
 /// * an **edge list** — decomposes it and writes graph + supports + κ to
 ///   `--out` (default `<input>.tkcstor`);
-/// * an **engine state directory** — re-packs `state.tkc` into the
-///   directory's store and rewrites the snapshot header with the new
-///   stamp. This is the recovery documented on `StoreMismatch`: it
-///   repairs a stale/missing store and upgrades pre-store (v1)
-///   snapshots to the stamped v2 pair.
+/// * an **engine state directory** — imports its text `state.tkc` into
+///   the directory's store, carrying the header's `seq` and `term`
+///   (`tkc_engine::import_text_snapshot`). `state.tkc` stays; the
+///   engine's first compaction after the import deletes it.
 fn store_pack(p: &crate::args::Parsed) -> Result<(), String> {
     use tkc_graph::csr::edge_supports_csr;
 
     let target = p.positional(2, "edge list path or engine state dir")?;
     let path = std::path::Path::new(target);
     if path.is_dir() {
-        let state_path = path.join(tkc_engine::STATE_FILE);
-        let file = std::fs::File::open(&state_path)
-            .map_err(|e| format!("{}: {e}", state_path.display()))?;
-        let (g, kappa) = tkc_core::persist::read_state(file).map_err(|e| e.to_string())?;
-        let supports = edge_supports_csr(&g);
-        let parts =
-            tkc_store::pack_graph(&g, &supports, Some(&kappa)).map_err(|e| e.to_string())?;
-        let stamp = parts.stamp();
-
-        // Same crash discipline as the engine's compaction: tmp writes,
-        // store renamed before the stamped snapshot.
-        let store_tmp = path.join("state.tkcstor.tmp");
-        let state_tmp = path.join("state.tkc.tmp");
-        let bytes = parts.write_path(&store_tmp).map_err(|e| e.to_string())?;
-        let out = std::fs::File::create(&state_tmp).map_err(|e| e.to_string())?;
-        tkc_core::persist::write_state_with_store(&g, &kappa, Some(&stamp), &out)
-            .map_err(|e| e.to_string())?;
-        out.sync_all().map_err(|e| e.to_string())?;
-        std::fs::rename(&store_tmp, path.join(tkc_engine::STORE_FILE))
-            .map_err(|e| e.to_string())?;
-        std::fs::rename(&state_tmp, &state_path).map_err(|e| e.to_string())?;
+        let info = tkc_engine::import_text_snapshot(path).map_err(|e| format!("{target}: {e}"))?;
         println!(
-            "packed {} vertices / {} edges → {} ({bytes} bytes, stamp {stamp}); snapshot upgraded",
-            g.num_vertices(),
-            g.num_edges(),
-            path.join(tkc_engine::STORE_FILE).display()
+            "packed {} vertices / {} edges → {} ({} bytes)",
+            info.num_vertices,
+            info.num_edges,
+            path.join(tkc_engine::STORE_FILE).display(),
+            info.file_bytes
         );
         return Ok(());
     }
@@ -714,11 +694,10 @@ fn store_pack(p: &crate::args::Parsed) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let info = parts.info();
     println!(
-        "packed {} vertices / {} edges → {out} ({bytes} bytes, {:.2}× vs raw CSR, stamp {})",
+        "packed {} vertices / {} edges → {out} ({bytes} bytes, {:.2}× vs raw CSR)",
         g.num_vertices(),
         g.num_edges(),
         info.raw_csr_bytes() as f64 / bytes as f64,
-        parts.stamp()
     );
     Ok(())
 }
@@ -732,16 +711,17 @@ fn store_info(p: &crate::args::Parsed) -> Result<(), String> {
     reader
         .verify_checksums()
         .map_err(|e| format!("{target}: checksum verification failed: {e}"))?;
-    let stamp = tkc_store::file_stamp(path).map_err(|e| e.to_string())?;
     println!(
-        "{target}: {} vertices, {} live edges ({} slots), κ section: {}",
+        "{target}: {} vertices, {} live edges ({} slots), κ section: {}, seq {}, term {}",
         info.num_vertices,
         info.num_edges,
         info.edge_bound,
-        if info.has_kappa { "yes" } else { "no" }
+        if info.has_kappa { "yes" } else { "no" },
+        reader.seq(),
+        reader.term()
     );
     println!(
-        "  {} bytes on disk, raw CSR {} bytes ({:.2}× compression), stamp {stamp}, checksums OK",
+        "  {} bytes on disk, raw CSR {} bytes ({:.2}× compression), checksums OK",
         info.file_bytes,
         info.raw_csr_bytes(),
         info.raw_csr_bytes() as f64 / info.file_bytes as f64

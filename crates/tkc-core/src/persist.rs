@@ -8,8 +8,9 @@
 //!   [`crate::dynamic::DynamicTriangleKCore`] without re-peeling;
 //! * the **state format** ([`write_state`] / [`read_state`]), which
 //!   additionally records the vertex count so the *graph itself* can be
-//!   reconstructed together with κ — the compaction snapshot target of the
-//!   `tkc-engine` write-ahead log.
+//!   reconstructed together with κ. The engine snapshots to a packed
+//!   `TKCSTOR` store, not to this format; `tkc store pack <dir>` imports
+//!   a `state.tkc` written here into that store.
 //!
 //! All readers return the structured [`PersistError`], which is shared
 //! with the engine's WAL so one error vocabulary covers every durability
@@ -28,13 +29,12 @@ pub const KAPPA_MAGIC: &str = "# triangle-kcore kappa v";
 pub const KAPPA_VERSION: u32 = 2;
 /// Magic prefix of the state format's versioned header line.
 pub const STATE_MAGIC: &str = "# triangle-kcore state v";
-/// State format version written by [`write_state`]. v2 adds an optional
-/// `store <stamp>` header field binding the snapshot to the packed
-/// `TKCSTOR` file written alongside it; v3 adds the replication
-/// watermarks `seq` (WAL sequence number the snapshot covers through —
-/// the compaction floor every later WAL record counts up from) and
-/// `term` (the primary-election fencing term). v1/v2 files read as
-/// `seq 0; term 0`.
+/// State format version written by [`write_state`]. v2 added an optional
+/// `store <stamp>` header field (still parsed past, no longer written);
+/// v3 adds the replication watermarks `seq` (WAL sequence number the
+/// snapshot covers through — the floor every later WAL record counts up
+/// from) and `term` (the primary-election fencing term). v1/v2 files
+/// read as `seq 0; term 0`.
 pub const STATE_VERSION: u32 = 3;
 
 /// Structured error for every persistence reader in the workspace: the
@@ -100,19 +100,6 @@ pub enum PersistError {
         /// What was wrong with it.
         reason: String,
     },
-    /// The state snapshot and the packed store next to it do not vouch
-    /// for each other: the header's stamp names a store that is missing
-    /// or different, or a store file sits next to a pre-store (v1)
-    /// snapshot that cannot vouch for it. Recovery must not silently
-    /// pick one side — re-pack with `tkc store pack` instead.
-    StoreMismatch {
-        /// The stamp the state header declared (`None`: the snapshot
-        /// predates store stamps).
-        expected: Option<String>,
-        /// The stamp of the store found on disk (`None`: no readable
-        /// store file).
-        found: Option<String>,
-    },
 }
 
 impl std::fmt::Display for PersistError {
@@ -145,16 +132,6 @@ impl std::fmt::Display for PersistError {
             }
             PersistError::Corrupt { offset, reason } => {
                 write!(f, "corrupt record at byte {offset}: {reason}")
-            }
-            PersistError::StoreMismatch { expected, found } => {
-                let or_none = |s: &Option<String>| s.clone().unwrap_or_else(|| "none".to_string());
-                write!(
-                    f,
-                    "state/store mismatch: snapshot declares store stamp {}, disk has {} \
-                     (run `tkc store pack` to re-pack and upgrade)",
-                    or_none(expected),
-                    or_none(found)
-                )
             }
         }
     }
@@ -287,42 +264,24 @@ fn parse_uvk(t: &str, lineno: usize, what: &str) -> Result<(u32, u32, u32), Pers
 /// [`crate::dynamic::DynamicTriangleKCore::kappa_slice`] and
 /// [`Decomposition::kappa_slice`] hand it out.
 pub fn write_state<W: Write>(g: &Graph, kappa: &[u32], writer: W) -> std::io::Result<()> {
-    write_state_with_store(g, kappa, None, writer)
+    write_state_tagged(g, kappa, 0, 0, writer)
 }
 
-/// [`write_state`] with a store binding: when `store_stamp` is given, the
-/// header carries `store <stamp>` (the identity of the packed `TKCSTOR`
-/// file written in the same compaction — `tkc_store::StoreParts::stamp`).
-/// [`verify_store_stamp`] enforces the binding on the way back in.
-pub fn write_state_with_store<W: Write>(
-    g: &Graph,
-    kappa: &[u32],
-    store_stamp: Option<&str>,
-    writer: W,
-) -> std::io::Result<()> {
-    write_state_tagged(g, kappa, store_stamp, 0, 0, writer)
-}
-
-/// [`write_state_with_store`] with the v3 replication watermarks: `seq`
-/// is the WAL sequence number this snapshot covers through (records
-/// appended after the compaction count up from it), `term` the fencing
-/// term of the primary that wrote it. This is the full-fidelity writer —
-/// the other `write_state*` entry points delegate here with zeros.
+/// [`write_state`] with the v3 replication watermarks: `seq` is the WAL
+/// sequence number this snapshot covers through (records appended after
+/// it count up from it), `term` the fencing term of the primary that
+/// wrote it.
 pub fn write_state_tagged<W: Write>(
     g: &Graph,
     kappa: &[u32],
-    store_stamp: Option<&str>,
     seq: u64,
     term: u64,
     writer: W,
 ) -> std::io::Result<()> {
     let mut w = BufWriter::new(writer);
-    let store = store_stamp
-        .map(|s| format!("; store {s}"))
-        .unwrap_or_default();
     writeln!(
         w,
-        "{STATE_MAGIC}{STATE_VERSION}; vertices {}; edges {}{store}; seq {seq}; term {term}",
+        "{STATE_MAGIC}{STATE_VERSION}; vertices {}; edges {}; seq {seq}; term {term}",
         g.num_vertices(),
         g.num_edges()
     )?;
@@ -336,26 +295,18 @@ pub fn write_state_tagged<W: Write>(
 /// Reads a state file back into a fresh `(Graph, κ)` pair. Edge ids are
 /// assigned in file order (they need not match the ids of the writing
 /// process — κ is re-indexed accordingly). The magic header is mandatory.
-///
-/// This discards any store stamp in the header; recovery paths that sit
-/// next to a packed store must use [`read_state_full`] +
-/// [`verify_store_stamp`] so a stale store can never be trusted
-/// silently.
 pub fn read_state<R: Read>(reader: R) -> Result<(Graph, Vec<u32>), PersistError> {
     let (g, kappa, _) = read_state_full(reader)?;
     Ok((g, kappa))
 }
 
-/// [`read_state`] plus the store stamp from a v2 header (`None` for v1
-/// files and v2 files written without a store).
-pub fn read_state_full<R: Read>(
-    reader: R,
-) -> Result<(Graph, Vec<u32>, Option<String>), PersistError> {
+/// [`read_state`] plus the header's replication watermarks.
+pub fn read_state_full<R: Read>(reader: R) -> Result<(Graph, Vec<u32>, StateHeader), PersistError> {
     let reader = BufReader::new(reader);
     let mut g: Option<Graph> = None;
     let mut declared_edges = 0usize;
     let mut kappa: Vec<u32> = Vec::new();
-    let mut store_stamp: Option<String> = None;
+    let mut header = StateHeader::default();
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         let lineno = lineno + 1;
@@ -379,7 +330,10 @@ pub fn read_state_full<R: Read>(
                         line: lineno,
                         reason: "header missing 'vertices N; edges M'".to_string(),
                     })?;
-                store_stamp = parse_store_stamp(t);
+                header = StateHeader {
+                    seq: parse_header_u64(t, "; seq ").unwrap_or(0),
+                    term: parse_header_u64(t, "; term ").unwrap_or(0),
+                };
                 // `with_capacity` already materializes the vertex set.
                 g = Some(Graph::with_capacity(vertices, edges));
                 declared_edges = edges;
@@ -425,49 +379,13 @@ pub fn read_state_full<R: Read>(
         });
     }
     kappa.resize(graph.edge_bound(), 0);
-    Ok((graph, kappa, store_stamp))
+    Ok((graph, kappa, header))
 }
 
-/// Reads **only the header line** of a state file and returns its store
-/// stamp (`None` for v1 headers and v2 files written without a store).
-/// The engine's fast reopen path calls this to learn whether a packed
-/// store can stand in for the text body *before* paying to parse every
-/// edge line; [`verify_store_stamp`] then decides whether the store may
-/// actually be trusted.
-pub fn read_state_stamp<R: Read>(reader: R) -> Result<Option<String>, PersistError> {
-    let reader = BufReader::new(reader);
-    for line in reader.lines() {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() {
-            continue;
-        }
-        if !t.starts_with('#') {
-            break;
-        }
-        let version = parse_header(t, STATE_MAGIC).ok_or(PersistError::BadMagic {
-            expected: STATE_MAGIC,
-        })?;
-        if version == 0 || version > STATE_VERSION {
-            return Err(PersistError::UnsupportedVersion {
-                format: "state",
-                found: version,
-            });
-        }
-        return Ok(parse_store_stamp(t));
-    }
-    Err(PersistError::BadMagic {
-        expected: STATE_MAGIC,
-    })
-}
-
-/// Everything a state file's header line declares beyond the counts:
-/// the v2 store binding and the v3 replication watermarks (zero for
-/// files that predate them).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// The v3 replication watermarks a state file's header line declares
+/// beyond the counts (zero for files that predate them).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StateHeader {
-    /// The packed-store stamp the snapshot vouches for, if any.
-    pub store_stamp: Option<String>,
     /// WAL sequence number the snapshot covers through (compaction
     /// floor); 0 for v1/v2 files.
     pub seq: u64,
@@ -476,44 +394,8 @@ pub struct StateHeader {
     pub term: u64,
 }
 
-/// Reads **only the header line** of a state file and returns every
-/// optional field it declares — the store stamp plus the v3 `seq`/`term`
-/// replication watermarks. Same cheap-header contract as
-/// [`read_state_stamp`], which this supersedes for callers that need
-/// the watermarks too.
-pub fn read_state_header<R: Read>(reader: R) -> Result<StateHeader, PersistError> {
-    let reader = BufReader::new(reader);
-    for line in reader.lines() {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() {
-            continue;
-        }
-        if !t.starts_with('#') {
-            break;
-        }
-        let version = parse_header(t, STATE_MAGIC).ok_or(PersistError::BadMagic {
-            expected: STATE_MAGIC,
-        })?;
-        if version == 0 || version > STATE_VERSION {
-            return Err(PersistError::UnsupportedVersion {
-                format: "state",
-                found: version,
-            });
-        }
-        return Ok(StateHeader {
-            store_stamp: parse_store_stamp(t),
-            seq: parse_header_u64(t, "; seq ").unwrap_or(0),
-            term: parse_header_u64(t, "; term ").unwrap_or(0),
-        });
-    }
-    Err(PersistError::BadMagic {
-        expected: STATE_MAGIC,
-    })
-}
-
 /// Extracts `vertices N; edges M` from a state header line (further
-/// `;`-separated fields, like v2's `store <stamp>`, may follow).
+/// `;`-separated fields, like v3's `seq N`, may follow).
 fn parse_state_counts(t: &str) -> Option<(usize, usize)> {
     let after = t.split_once("; vertices ")?.1;
     let (n, rest) = after.split_once("; edges ")?;
@@ -521,51 +403,11 @@ fn parse_state_counts(t: &str) -> Option<(usize, usize)> {
     Some((n.trim().parse().ok()?, m.parse().ok()?))
 }
 
-/// Extracts the optional `store <stamp>` field from a v2 header line.
-fn parse_store_stamp(t: &str) -> Option<String> {
-    let after = t.split_once("; store ")?.1;
-    let stamp = after.split(';').next()?.trim();
-    (!stamp.is_empty()).then(|| stamp.to_string())
-}
-
 /// Extracts an optional `<key> N` numeric header field (v3's `; seq N`
 /// and `; term N`).
 fn parse_header_u64(t: &str, key: &str) -> Option<u64> {
     let after = t.split_once(key)?.1;
     after.split(';').next()?.trim().parse().ok()
-}
-
-/// The recovery gate between a state snapshot and the packed store next
-/// to it. `stamp` is what [`read_state_full`] returned; `store_path` is
-/// where the compaction writes its `TKCSTOR` file.
-///
-/// * stamp present + store matches — `Ok`: the store may be trusted for
-///   the fast reopen path.
-/// * stamp present + store missing, unreadable, or different —
-///   [`PersistError::StoreMismatch`].
-/// * no stamp (v1 snapshot) + **no** store file — `Ok`: plain legacy
-///   text recovery, nothing to vouch for.
-/// * no stamp + a store file present — [`PersistError::StoreMismatch`]:
-///   an old snapshot cannot vouch for the store sitting next to it, and
-///   silently picking either side could serve wrong data. `tkc store
-///   pack` re-packs from the snapshot and upgrades the pair.
-pub fn verify_store_stamp(
-    stamp: Option<&str>,
-    store_path: &std::path::Path,
-) -> Result<(), PersistError> {
-    let found = match tkc_store::file_stamp(store_path) {
-        Ok(s) => Some(s),
-        Err(tkc_store::StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => Some(format!("unreadable ({e})")),
-    };
-    match (stamp, &found) {
-        (Some(want), Some(have)) if want == have => Ok(()),
-        (None, None) => Ok(()),
-        _ => Err(PersistError::StoreMismatch {
-            expected: stamp.map(str::to_string),
-            found,
-        }),
-    }
 }
 
 #[cfg(test)]
@@ -689,111 +531,34 @@ mod tests {
     }
 
     #[test]
-    fn state_store_stamp_roundtrips_and_v1_reads_stampless() {
-        let g = generators::complete(4);
-        let d = triangle_kcore_decomposition(&g);
-        let mut buf = Vec::new();
-        write_state_with_store(&g, d.kappa_slice(), Some("deadbeef"), &mut buf).unwrap();
-        let text = String::from_utf8(buf.clone()).unwrap();
-        assert!(text.starts_with("# triangle-kcore state v3"), "{text}");
-        assert!(text.contains("; store deadbeef"), "{text}");
-        let (g2, kappa2, stamp) = read_state_full(buf.as_slice()).unwrap();
-        assert_eq!(stamp.as_deref(), Some("deadbeef"));
-        assert_eq!(g2.num_edges(), g.num_edges());
-        assert_eq!(kappa2.len(), g2.edge_bound());
-        // Stampless v3 and legacy v1 both read with no stamp.
-        let mut plain = Vec::new();
-        write_state(&g, d.kappa_slice(), &mut plain).unwrap();
-        let (_, _, stamp) = read_state_full(plain.as_slice()).unwrap();
-        assert_eq!(stamp, None);
-        let v1 = "# triangle-kcore state v1; vertices 2; edges 1\n0 1 0\n";
-        let (g1, _, stamp) = read_state_full(v1.as_bytes()).unwrap();
-        assert_eq!(g1.num_edges(), 1);
-        assert_eq!(stamp, None);
-    }
-
-    #[test]
     fn state_v3_seq_and_term_roundtrip_and_default_to_zero() {
         let g = generators::complete(3);
         let d = triangle_kcore_decomposition(&g);
         let mut buf = Vec::new();
-        write_state_tagged(&g, d.kappa_slice(), Some("cafe"), 1234, 7, &mut buf).unwrap();
+        write_state_tagged(&g, d.kappa_slice(), 1234, 7, &mut buf).unwrap();
         let text = String::from_utf8(buf.clone()).unwrap();
+        assert!(text.starts_with("# triangle-kcore state v3"), "{text}");
         assert!(text.contains("; seq 1234; term 7"), "{text}");
-        let header = read_state_header(buf.as_slice()).unwrap();
-        assert_eq!(header.store_stamp.as_deref(), Some("cafe"));
-        assert_eq!((header.seq, header.term), (1234, 7));
-        // The body reader is untroubled by the extra fields.
-        let (g2, _, stamp) = read_state_full(buf.as_slice()).unwrap();
+        let (g2, _, header) = read_state_full(buf.as_slice()).unwrap();
         assert_eq!(g2.num_edges(), g.num_edges());
-        assert_eq!(stamp.as_deref(), Some("cafe"));
-        // Pre-v3 headers read as zero watermarks.
-        let v2 = "# triangle-kcore state v2; vertices 2; edges 1\n0 1 0\n";
-        let header = read_state_header(v2.as_bytes()).unwrap();
+        assert_eq!((header.seq, header.term), (1234, 7));
+        // A v2 header's store field is parsed past.
+        let v2 = "# triangle-kcore state v2; vertices 2; edges 1; store cafe\n0 1 0\n";
+        let (g2, _, header) = read_state_full(v2.as_bytes()).unwrap();
+        assert_eq!(g2.num_edges(), 1);
         assert_eq!(header, StateHeader::default());
+        // Pre-v3 headers read as zero watermarks.
         let v1 = "# triangle-kcore state v1; vertices 2; edges 1\n0 1 0\n";
-        assert_eq!((read_state_header(v1.as_bytes()).unwrap()).seq, 0);
+        assert_eq!(read_state_full(v1.as_bytes()).unwrap().2.seq, 0);
         // Future versions are refused, headerless files rejected.
         let v9 = "# triangle-kcore state v9; vertices 2; edges 1\n0 1 0\n";
         assert!(matches!(
-            read_state_header(v9.as_bytes()),
+            read_state_full(v9.as_bytes()),
             Err(PersistError::UnsupportedVersion { found: 9, .. })
         ));
         assert!(matches!(
-            read_state_header("0 1 0\n".as_bytes()),
+            read_state_full("0 1 0\n".as_bytes()),
             Err(PersistError::BadMagic { .. })
         ));
-    }
-
-    #[test]
-    fn store_stamp_gate_blocks_every_mismatch_shape() {
-        use tkc_graph::csr::edge_supports_csr;
-        let dir = std::env::temp_dir().join("tkc_core_persist_gate_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let store_path = dir.join("state.tkcstor");
-        std::fs::remove_file(&store_path).ok();
-
-        // Legacy pair: no stamp, no store — fine.
-        verify_store_stamp(None, &store_path).unwrap();
-        // Stamp declared but store missing — blocked.
-        assert!(matches!(
-            verify_store_stamp(Some("deadbeef"), &store_path),
-            Err(PersistError::StoreMismatch {
-                expected: Some(_),
-                found: None
-            })
-        ));
-
-        // Write a real store; its stamp must pass, others must not.
-        let g = generators::planted_partition(2, 6, 0.9, 0.2, 4);
-        let sup = edge_supports_csr(&g);
-        let parts = tkc_store::pack_graph(&g, &sup, None).unwrap();
-        parts.write_path(&store_path).unwrap();
-        let stamp = parts.stamp();
-        assert_eq!(tkc_store::file_stamp(&store_path).unwrap(), stamp);
-        verify_store_stamp(Some(&stamp), &store_path).unwrap();
-        assert!(matches!(
-            verify_store_stamp(Some("00000000"), &store_path),
-            Err(PersistError::StoreMismatch {
-                expected: Some(_),
-                found: Some(_)
-            })
-        ));
-        // An old (stampless) snapshot next to a store: never trust either.
-        assert!(matches!(
-            verify_store_stamp(None, &store_path),
-            Err(PersistError::StoreMismatch {
-                expected: None,
-                found: Some(_)
-            })
-        ));
-        // A corrupt store under a declared stamp is also a mismatch, not
-        // a panic or silent pass.
-        std::fs::write(&store_path, b"TKCSTOR garbage").unwrap();
-        assert!(matches!(
-            verify_store_stamp(Some(&stamp), &store_path),
-            Err(PersistError::StoreMismatch { .. })
-        ));
-        std::fs::remove_file(&store_path).ok();
     }
 }

@@ -6,21 +6,22 @@
 //! Every mutation batch is appended to the WAL (fsync'd) **before** it is
 //! applied to the in-memory maintainer — a crash at any point replays to
 //! exactly the acknowledged state. Periodically the log is *compacted*:
-//! the full graph + κ state is written to a snapshot file (atomic
-//! tmp-write + rename, via `tkc-core::persist::write_state`) and the log
-//! is reset, bounding recovery time.
+//! the full graph + κ state, with the WAL sequence number and fencing
+//! term it covers, is packed into the directory's one snapshot, the
+//! `TKCSTOR` store [`STORE_FILE`] (tmp write, fsync, rename, directory
+//! fsync), and the log is reset, bounding recovery time.
 //!
 //! ## Read path
 //!
 //! Readers never touch the writer. [`Engine::snapshot`] hands out an
-//! `Arc<EpochSnapshot>` — an immutable graph clone, its κ vector wrapped
-//! as a [`Decomposition`] view, and a frozen [`CsrGraph`] — published
+//! `Arc<EpochSnapshot>` — an immutable graph clone and its κ vector
+//! wrapped as a [`Decomposition`] view — published
 //! atomically by swapping the `Arc` under a briefly held `RwLock` (readers
 //! hold the read lock only long enough to clone the `Arc`, so queries
 //! never wait on ingest, and in-flight queries keep their epoch alive
 //! after the next one is published).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
@@ -28,34 +29,38 @@ use std::time::Instant;
 use tkc_core::decompose::Decomposition;
 use tkc_core::dynamic::{DynamicTriangleKCore, UpdateStats};
 use tkc_core::extract::cores_at_level;
-use tkc_core::persist::{
-    read_state, read_state_header, verify_store_stamp, write_state_tagged, PersistError,
-};
+use tkc_core::persist::{read_state_full, PersistError};
 use tkc_faults::{DiskFile, FaultFile, FaultPlan};
 use tkc_graph::csr::edge_supports_csr;
-use tkc_graph::{CsrGraph, Graph, VertexId};
+use tkc_graph::{Graph, VertexId};
 use tkc_obs::{Counter, Gauge, Histogram, MetricsRegistry, SpanGuard, TraceBuffer, TraceRecord};
-use tkc_store::{file_stamp, pack_graph, PageCacheConfig, StoreError, StoreReader};
+use tkc_store::{pack_graph, PageCacheConfig, StoreError, StoreInfo, StoreReader};
 
 use crate::error::{EngineError, EngineState};
 use crate::repl::{ReplHandle, Role};
 use crate::wal::{Recovery, Wal, WalError, WalOp};
 
-/// Name of the compacted snapshot file inside the state directory.
+/// Name of the text snapshot (`tkc_core::persist` state format) that
+/// `tkc store pack <dir>` imports into [`STORE_FILE`]. The engine never
+/// reads it; the first compaction after an import deletes it.
 pub const STATE_FILE: &str = "state.tkc";
 /// Name of the write-ahead log inside the state directory.
 // analyze: allow(registry-consistency): file name, not a failpoint site id
 pub const WAL_FILE: &str = "wal.log";
-/// Name of the packed `TKCSTOR` store written next to the snapshot at
-/// each compaction. The snapshot header carries the store's identity
-/// stamp; [`Engine::open`] reopens from the store (binary sections, no
-/// per-edge re-insertion) whenever the stamp vouches for it.
+/// Name of the engine's snapshot: the packed `TKCSTOR` store each
+/// compaction writes. Its header carries the WAL sequence number and
+/// fencing term it covers; [`Engine::open`] rebuilds from its binary
+/// sections and replays the WAL on top.
 pub const STORE_FILE: &str = "state.tkcstor";
+
+/// Where a new store is written before it is renamed over [`STORE_FILE`].
+const STORE_TMP: &str = "state.tkcstor.tmp";
 
 /// Tunables for [`Engine::open`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Directory holding `state.tkc` and `wal.log` (created if absent).
+    /// Directory holding `state.tkcstor` and `wal.log` (created if
+    /// absent).
     pub dir: PathBuf,
     /// Fsync the WAL on every appended batch (turn off only for tests or
     /// throwaway ingest — an OS crash can then lose acknowledged ops).
@@ -63,7 +68,7 @@ pub struct EngineConfig {
     /// Publish a fresh epoch snapshot automatically after this many
     /// applied ops (`0` = only on explicit [`Engine::publish`]).
     pub epoch_ops: usize,
-    /// Compact the WAL into a snapshot file once it exceeds this many
+    /// Compact the WAL into the store once it exceeds this many
     /// bytes (`0` = only on explicit [`Engine::compact`]).
     pub compact_bytes: u64,
     /// Hard cap on the vertex-id space. An op naming (or growing to) a
@@ -114,9 +119,6 @@ pub struct EngineMetrics {
     pub epochs_published: Counter,
     /// WAL compactions performed.
     pub compactions: Counter,
-    /// Opens served by the packed-store fast path instead of parsing the
-    /// text snapshot (see [`STORE_FILE`]).
-    pub store_reopens: Counter,
     /// Ops replayed from the WAL during the last recovery.
     pub recovery_replays: Counter,
     /// Torn tail bytes dropped during the last recovery.
@@ -208,10 +210,6 @@ impl EngineMetrics {
                 "Epoch snapshots published",
             ),
             compactions: reg.counter("tkc_engine_compactions_total", "WAL compactions performed"),
-            store_reopens: reg.counter(
-                "tkc_engine_store_reopens_total",
-                "Engine opens served from the packed store fast path",
-            ),
             recovery_replays: reg.int_gauge(
                 "tkc_engine_recovery_replays",
                 "Ops replayed from the WAL during the last recovery",
@@ -376,7 +374,6 @@ pub struct EpochSnapshot {
     epoch: u64,
     graph: Graph,
     decomp: Decomposition,
-    csr: CsrGraph,
     stats: UpdateStats,
     ops_applied: u64,
 }
@@ -397,11 +394,6 @@ impl EpochSnapshot {
         &self.decomp
     }
 
-    /// The frozen CSR companion (triangle counting, support kernels).
-    pub fn csr(&self) -> &CsrGraph {
-        &self.csr
-    }
-
     /// κ of edge `{u, v}`, or `None` when absent.
     pub fn kappa(&self, u: u32, v: u32) -> Option<u32> {
         let e = self.graph.edge_between(VertexId(u), VertexId(v))?;
@@ -411,11 +403,6 @@ impl EpochSnapshot {
     /// Largest κ in the snapshot.
     pub fn max_kappa(&self) -> u32 {
         self.decomp.max_kappa()
-    }
-
-    /// Triangles in the snapshot (CSR kernel).
-    pub fn triangle_count(&self) -> u64 {
-        self.csr.triangle_count()
     }
 
     /// All maximal Triangle K-Cores of number ≥ `k` (`k` clamped to ≥ 1),
@@ -527,45 +514,16 @@ fn open_wal(config: &EngineConfig) -> Result<(Wal, Recovery), WalError> {
 
 impl Engine {
     /// Opens (or creates) the engine state in `config.dir`: loads the
-    /// compaction snapshot if present, replays the WAL over it, truncates
-    /// any torn tail, and publishes the recovered state as epoch 1.
+    /// store if present (graph, κ, and the seq and term in its header),
+    /// replays the WAL over it, truncates any torn tail, and publishes
+    /// the recovered state as epoch 1. A text `state.tkc` with no store,
+    /// or a store of an older format, fails with
+    /// [`EngineError::NeedsImport`].
     pub fn open(config: EngineConfig) -> Result<Engine, EngineError> {
         std::fs::create_dir_all(&config.dir)?;
         let registry = Arc::new(MetricsRegistry::new());
         let metrics = EngineMetrics::register(&registry);
-        let state_path = config.dir.join(STATE_FILE);
-        let store_path = config.dir.join(STORE_FILE);
-        let mut floor_seq = 0u64;
-        let mut term = 0u64;
-        let mut core = if state_path.exists() {
-            let header = read_state_header(std::fs::File::open(&state_path)?)?;
-            floor_seq = header.seq;
-            term = header.term;
-            let stamp = header.store_stamp;
-            verify_store_stamp(stamp.as_deref(), &store_path)?;
-            if stamp.is_some() {
-                // Fast path: the snapshot header vouches for the packed
-                // store, so rebuild from its binary sections (crc-checked
-                // on read) instead of re-parsing and re-inserting every
-                // edge of the text body.
-                let reader = StoreReader::open(&store_path, PageCacheConfig::default())
-                    .map_err(store_err)?;
-                let g = reader.load_graph().map_err(store_err)?;
-                let kappa = reader.read_kappa().map_err(store_err)?;
-                metrics.store_reopens.inc();
-                DynamicTriangleKCore::from_parts(g, kappa)
-            } else {
-                let file = std::fs::File::open(&state_path)?;
-                let (g, kappa) = read_state(file)?;
-                DynamicTriangleKCore::from_parts(g, kappa)
-            }
-        } else {
-            // No snapshot: a store file sitting here alone is unvouched
-            // (same gate as a stampless snapshot next to one).
-            verify_store_stamp(None, &store_path)?;
-            DynamicTriangleKCore::new(Graph::new())
-        };
-
+        let (mut core, floor_seq, term) = open_store(&config.dir)?;
         let (wal, recovery) = open_wal(&config)?;
         let Recovery { ops, torn_bytes } = recovery;
         let mut replay_report = ApplyReport::default();
@@ -956,8 +914,8 @@ impl Engine {
         w.epoch
     }
 
-    /// Compacts the WAL: writes the graph + κ snapshot file atomically,
-    /// then resets the log.
+    /// Compacts the WAL: packs the graph, κ, seq and term into the store
+    /// (one file, one rename), then resets the log.
     pub fn compact(&self) -> Result<(), EngineError> {
         let mut w = lock_writer(&self.writer);
         self.compact_locked(&mut w)
@@ -1065,49 +1023,27 @@ impl Engine {
     }
 
     fn compact_locked(&self, w: &mut Writer) -> Result<(), EngineError> {
-        let store_tmp = self.config.dir.join("state.tkcstor.tmp");
-        let store_path = self.config.dir.join(STORE_FILE);
-        let tmp = self.config.dir.join("state.tkc.tmp");
-        let final_path = self.config.dir.join(STATE_FILE);
-
-        // Pack the store first: its identity stamp goes into the snapshot
-        // header so the next open can trust the binary sections.
+        let tmp = self.config.dir.join(STORE_TMP);
         let g = w.core.graph();
         let supports = edge_supports_csr(g);
-        let parts = pack_graph(g, &supports, Some(w.core.kappa_slice())).map_err(store_err)?;
-        let stamp = parts.stamp();
-        parts.write_path(&store_tmp)?;
-        std::fs::File::open(&store_tmp)?.sync_all()?;
-        {
-            let file = std::fs::File::create(&tmp)?;
-            write_state_tagged(
-                g,
-                w.core.kappa_slice(),
-                Some(&stamp),
-                self.applied_seq.load(Ordering::Relaxed),
-                self.term(),
-                &file,
-            )?;
-            file.sync_all()?;
-        }
-        // Store before state. A crash between the renames leaves a
-        // snapshot whose stamp disagrees with the store on disk — the
-        // next open fails with the structured `StoreMismatch` (repaired
-        // by `tkc store pack`) rather than trusting either side.
-        std::fs::rename(&store_tmp, &store_path)?;
-        std::fs::rename(&tmp, &final_path)?;
+        pack_graph(g, &supports, Some(w.core.kappa_slice()))
+            .map_err(store_err)?
+            .with_position(self.applied_seq.load(Ordering::Relaxed), self.term())
+            .write_path(&tmp)?;
+        commit_store(&self.config.dir, &tmp)?;
         w.wal.reset()?;
         self.metrics.compactions.inc();
         Ok(())
     }
 
     /// Replaces the engine's entire state with a packed-store snapshot
-    /// streamed from the primary (a follower bootstrap): persists the
-    /// store + tagged state atomically, rebuilds the maintainer from it,
-    /// resets the local WAL, and publishes the result as a fresh epoch.
+    /// streamed from the primary (a follower bootstrap): checks that the
+    /// store's header carries the announced `seq` and `term`, persists it
+    /// the way compaction does, rebuilds the maintainer from it, resets
+    /// the local WAL, and publishes the result as a fresh epoch.
     ///
-    /// A crash after the state rename but before the WAL reset leaves a
-    /// stale log next to a newer snapshot; replay over it is idempotent
+    /// A crash after the rename but before the WAL reset leaves a stale
+    /// log next to a newer store; replay over it is idempotent
     /// (apply-to-core skips duplicates), so the watermark can only move
     /// forward.
     pub(crate) fn install_snapshot(
@@ -1117,29 +1053,18 @@ impl Engine {
         term: u64,
     ) -> Result<(), EngineError> {
         let mut w = lock_writer(&self.writer);
-        let store_tmp = self.config.dir.join("state.tkcstor.tmp");
-        let store_path = self.config.dir.join(STORE_FILE);
-        let tmp = self.config.dir.join("state.tkc.tmp");
-        let final_path = self.config.dir.join(STATE_FILE);
-        std::fs::write(&store_tmp, store_bytes)?;
-        std::fs::File::open(&store_tmp)?.sync_all()?;
-        let stamp = file_stamp(&store_tmp).map_err(store_err)?;
-        let (g, kappa) = {
-            let reader =
-                StoreReader::open(&store_tmp, PageCacheConfig::default()).map_err(store_err)?;
-            let g = reader.load_graph().map_err(store_err)?;
-            let kappa = reader.read_kappa().map_err(store_err)?;
-            (g, kappa)
-        };
-        {
-            let file = std::fs::File::create(&tmp)?;
-            write_state_tagged(&g, &kappa, Some(&stamp), seq, term, &file)?;
-            file.sync_all()?;
+        let tmp = self.config.dir.join(STORE_TMP);
+        std::fs::write(&tmp, store_bytes)?;
+        std::fs::File::open(&tmp)?.sync_all()?;
+        let (core, store_seq, store_term) = load_store(&tmp).map_err(store_err)?;
+        if (store_seq, store_term) != (seq, term) {
+            return Err(store_err(StoreError::Corrupt(format!(
+                "snapshot header holds seq {store_seq} term {store_term}, \
+                 the stream announced seq {seq} term {term}"
+            ))));
         }
-        // Store before state, same crash ordering as compaction.
-        std::fs::rename(&store_tmp, &store_path)?;
-        std::fs::rename(&tmp, &final_path)?;
-        w.core = DynamicTriangleKCore::from_parts(g, kappa);
+        commit_store(&self.config.dir, &tmp)?;
+        w.core = core;
         w.cumulative = UpdateStats::default();
         w.wal.reset()?;
         self.applied_seq.store(seq, Ordering::Relaxed);
@@ -1148,21 +1073,20 @@ impl Engine {
         Ok(())
     }
 
-    /// Captures the writer's current state as packed-store bytes plus
-    /// the watermark (seq, term) they represent — what a bootstrapping
-    /// follower receives over the wire.
+    /// Captures the writer's current state as packed-store bytes (seq and
+    /// term in the header) plus the watermark (seq, term) they represent
+    /// — what a bootstrapping follower receives over the wire.
     pub(crate) fn snapshot_for_replication(&self) -> Result<(Vec<u8>, u64, u64), EngineError> {
         let w = lock_writer(&self.writer);
+        let (seq, term) = (self.applied_seq.load(Ordering::Relaxed), self.term());
         let g = w.core.graph();
         let supports = edge_supports_csr(g);
-        let parts = pack_graph(g, &supports, Some(w.core.kappa_slice())).map_err(store_err)?;
+        let parts = pack_graph(g, &supports, Some(w.core.kappa_slice()))
+            .map_err(store_err)?
+            .with_position(seq, term);
         let mut mem = crate::repl::MemStorage::default();
         parts.write_to_storage(&mut mem)?;
-        Ok((
-            mem.into_bytes(),
-            self.applied_seq.load(Ordering::Relaxed),
-            self.term(),
-        ))
+        Ok((mem.into_bytes(), seq, term))
     }
 
     /// The κ-stamp of the writer's current state — the follower side of
@@ -1212,6 +1136,81 @@ impl Engine {
     }
 }
 
+/// Loads the store in `dir`: the maintainer rebuilt from its graph and
+/// κ sections, plus the seq and term in its header. A directory with
+/// neither a store nor a text snapshot is a fresh engine.
+fn open_store(dir: &Path) -> Result<(DynamicTriangleKCore, u64, u64), EngineError> {
+    let store_path = dir.join(STORE_FILE);
+    if !store_path.exists() {
+        if dir.join(STATE_FILE).exists() {
+            return Err(EngineError::NeedsImport {
+                dir: dir.to_path_buf(),
+                found: format!("{STATE_FILE} and no {STORE_FILE}"),
+            });
+        }
+        return Ok((DynamicTriangleKCore::new(Graph::new()), 0, 0));
+    }
+    load_store(&store_path).map_err(|e| match e {
+        StoreError::UnsupportedVersion(v) if v < tkc_store::STORE_VERSION => {
+            EngineError::NeedsImport {
+                dir: dir.to_path_buf(),
+                found: format!("{STORE_FILE} in TKCSTOR format version {v}"),
+            }
+        }
+        other => store_err(other),
+    })
+}
+
+/// Rebuilds a maintainer from the store at `path` (every section it
+/// reads is crc-checked) and returns it with the header's seq and term.
+fn load_store(path: &Path) -> Result<(DynamicTriangleKCore, u64, u64), StoreError> {
+    let reader = StoreReader::open(path, PageCacheConfig::default())?;
+    let g = reader.load_graph()?;
+    let kappa = reader.read_kappa()?;
+    Ok((
+        DynamicTriangleKCore::from_parts(g, kappa),
+        reader.seq(),
+        reader.term(),
+    ))
+}
+
+/// Makes the synced store at `tmp` the only snapshot in `dir`. A text
+/// snapshot left by an import is superseded, so it goes first: a later
+/// `tkc store pack <dir>` then cannot roll the newer store back to it.
+/// The directory fsync makes the rename durable before the caller
+/// truncates the WAL; without it a power loss could keep the truncation
+/// and lose the rename, and with it acknowledged writes.
+fn commit_store(dir: &Path, tmp: &Path) -> std::io::Result<()> {
+    match std::fs::remove_file(dir.join(STATE_FILE)) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+        _ => {}
+    }
+    std::fs::rename(tmp, dir.join(STORE_FILE))?;
+    sync_dir(dir)
+}
+
+/// fsyncs a directory so the renames and removals inside it are durable.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    std::fs::File::open(dir)?.sync_all()
+}
+
+/// The one-way text → store import behind `tkc store pack <dir>`: packs
+/// `dir/state.tkc` (graph, κ, and the `seq` and `term` of its header)
+/// into the directory's store. `state.tkc` stays where it is; the first
+/// compaction after the import deletes it.
+pub fn import_text_snapshot(dir: &Path) -> Result<StoreInfo, EngineError> {
+    let (g, kappa, header) = read_state_full(std::fs::File::open(dir.join(STATE_FILE))?)?;
+    let supports = edge_supports_csr(&g);
+    let parts = pack_graph(&g, &supports, Some(&kappa))
+        .map_err(store_err)?
+        .with_position(header.seq, header.term);
+    let tmp = dir.join(STORE_TMP);
+    parts.write_path(&tmp)?;
+    std::fs::rename(&tmp, dir.join(STORE_FILE))?;
+    sync_dir(dir)?;
+    Ok(parts.info())
+}
+
 /// Maps a packed-store failure into the engine's persistence error space
 /// (raw I/O errors pass through so injected-crash detection still sees
 /// them).
@@ -1230,12 +1229,10 @@ fn snapshot_of(w: &mut Writer, metrics: &EngineMetrics) -> EpochSnapshot {
     metrics.epochs_published.inc();
     let graph = w.core.graph().clone();
     let decomp = Decomposition::from_kappa(&graph, w.core.kappa_slice().to_vec());
-    let csr = CsrGraph::freeze(&graph);
     EpochSnapshot {
         epoch: w.epoch,
         graph,
         decomp,
-        csr,
         stats: w.cumulative,
         ops_applied: w.ops_applied,
     }
@@ -1349,7 +1346,6 @@ mod tests {
         assert_eq!(snap.max_kappa(), 3);
         assert_eq!(snap.kappa(0, 1), Some(3));
         assert_eq!(snap.kappa(0, 9), None);
-        assert_eq!(snap.triangle_count(), 10);
         let t = snap.truss(3);
         assert_eq!((t.cores, t.edges, t.vertices), (1, 10, 5));
     }
@@ -1421,7 +1417,7 @@ mod tests {
         }
         let engine = Engine::open(manual_config(&dir)).unwrap();
         // Only the post-compaction op is replayed; the rest came from the
-        // snapshot file.
+        // store.
         assert_eq!(engine.metrics().recovery_replays.get(), 1);
         let snap = engine.snapshot();
         assert_eq!(snap.num_edges(), 11);
@@ -1464,7 +1460,7 @@ mod tests {
         assert_eq!(engine.snapshot().num_edges(), 10);
         // 10 records × 17 bytes > 64: compaction ran and reset the log.
         assert!(engine.metrics().compactions.get() >= 1);
-        assert!(dir.join(STATE_FILE).exists());
+        assert!(dir.join(STORE_FILE).exists());
     }
 
     #[test]

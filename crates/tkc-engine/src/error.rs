@@ -18,9 +18,11 @@
 //! well-formed client input except `InvalidOp` — which is the point.
 
 use std::fmt;
+use std::path::PathBuf;
 
 use tkc_core::persist::PersistError;
 
+use crate::engine::STATE_FILE;
 use crate::wal::WalError;
 
 /// Where the engine is in its `Serving → ReadOnly → Recovering → Serving`
@@ -112,6 +114,15 @@ pub enum EngineError {
         /// follower has not learned one yet).
         primary: String,
     },
+    /// The state directory holds a snapshot the engine does not open: a
+    /// text `state.tkc` with no store, or a store in an older format.
+    /// `tkc store pack <dir>` imports the text snapshot into a store.
+    NeedsImport {
+        /// The state directory.
+        dir: PathBuf,
+        /// What the directory holds instead of a current store.
+        found: String,
+    },
 }
 
 impl EngineError {
@@ -130,7 +141,7 @@ impl EngineError {
     pub fn wire_token(&self) -> &'static str {
         match self {
             EngineError::Wal(_) => "WAL",
-            EngineError::Persist(_) => "PERSIST",
+            EngineError::Persist(_) | EngineError::NeedsImport { .. } => "PERSIST",
             EngineError::Degraded { .. } => "DEGRADED",
             EngineError::InvalidOp { .. } => "INVALID",
             EngineError::Readonly { .. } => "READONLY",
@@ -148,6 +159,12 @@ impl fmt::Display for EngineError {
             EngineError::Readonly { primary } => {
                 write!(f, "read-only follower; writes go to {primary}")
             }
+            EngineError::NeedsImport { dir, found } => write!(
+                f,
+                "{} holds {found}; run `tkc store pack {}` to import its {STATE_FILE}",
+                dir.display(),
+                dir.display()
+            ),
         }
     }
 }

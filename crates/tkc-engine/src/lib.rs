@@ -5,10 +5,10 @@
 //!
 //! - [`wal`] — a write-ahead op log with checksummed, length-prefixed
 //!   records. Recovery tolerates a torn final record (a crash mid-append)
-//!   and replays every durable op; compaction folds the log into a
-//!   snapshot file so restart cost stays bounded.
+//!   and replays every durable op; compaction folds the log into the
+//!   packed store so restart cost stays bounded.
 //! - [`engine`] — [`Engine`] applies ops under a single writer lock and
-//!   publishes immutable [`EpochSnapshot`]s (graph + κ + frozen CSR) that
+//!   publishes immutable [`EpochSnapshot`]s (graph + κ) that
 //!   readers share by cloning an `Arc`; queries never wait on ingest.
 //! - [`server`] — [`Server`], the `tkc serve` TCP front-end: a
 //!   line-oriented text protocol with synchronous durable writes, snapshot
@@ -45,8 +45,8 @@ pub(crate) fn global_trace_test_guard() -> std::sync::MutexGuard<'static, ()> {
 }
 
 pub use engine::{
-    ApplyReport, Engine, EngineConfig, EngineMetrics, EpochSnapshot, TrussSummary, STATE_FILE,
-    STORE_FILE, WAL_FILE,
+    import_text_snapshot, ApplyReport, Engine, EngineConfig, EngineMetrics, EpochSnapshot,
+    TrussSummary, STATE_FILE, STORE_FILE, WAL_FILE,
 };
 pub use error::{EngineError, EngineState};
 pub use repl::{start as start_replication, ReplOptions, ReplServer, Role};

@@ -1,14 +1,16 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
-//! The packed-store reopen path: compaction writes a `TKCSTOR` file next
-//! to the snapshot and stamps the snapshot header with its identity;
-//! `Engine::open` must then rebuild from the store's binary sections,
-//! bit-identical to what a text-snapshot parse would have produced — and
-//! must refuse (structured, never silent) whenever the pair disagrees.
+//! The store is the engine's only snapshot: compaction writes one
+//! `TKCSTOR` file carrying the WAL seq and fencing term, and
+//! `Engine::open` rebuilds from its binary sections with the WAL on top.
+//! Directories the engine does not open — a text `state.tkc` with no
+//! store, a version-1 store — must fail structurally and name the
+//! import, `tkc store pack <dir>`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use tkc_engine::{Engine, EngineConfig, WalOp, STATE_FILE, STORE_FILE};
+use tkc_engine::{import_text_snapshot, Engine, EngineConfig, EngineError, WalOp};
+use tkc_engine::{STATE_FILE, STORE_FILE};
 use tkc_graph::generators;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -64,6 +66,58 @@ fn fingerprint(engine: &Engine) -> (usize, usize, Vec<(u32, u32, u32)>) {
     (g.num_vertices(), g.num_edges(), triples)
 }
 
+/// Writes the engine's published state as a text `state.tkc` with the
+/// given header watermarks (what an export, or an older build, left).
+fn write_text_state(engine: &Engine, dir: &Path, seq: u64, term: u64) {
+    engine.publish();
+    let snap = engine.snapshot();
+    let file = std::fs::File::create(dir.join(STATE_FILE)).unwrap();
+    tkc_core::persist::write_state_tagged(
+        snap.graph(),
+        snap.decomposition().kappa_slice(),
+        seq,
+        term,
+        file,
+    )
+    .unwrap();
+}
+
+fn assert_needs_import(dir: &Path) -> String {
+    match Engine::open(raw_config(dir.to_path_buf())) {
+        Err(e @ EngineError::NeedsImport { .. }) => {
+            let msg = e.to_string();
+            let want = format!("tkc store pack {}", dir.display());
+            assert!(msg.contains(&want), "error must name the import: {msg}");
+            msg
+        }
+        Err(other) => panic!("expected NeedsImport, got {other}"),
+        Ok(_) => panic!("open must refuse {}", dir.display()),
+    }
+}
+
+/// Rewrites a current store into the version-1 layout: a 48-byte header
+/// without `seq`/`term`, section offsets 16 bytes lower, same payloads.
+fn downgrade_to_v1(v2: &[u8]) -> Vec<u8> {
+    use tkc_store::crc::crc32;
+    let count = u32::from_le_bytes(v2[36..40].try_into().unwrap()) as usize;
+    let mut head = v2[..40].to_vec();
+    head[7] = 1;
+    head.extend_from_slice(&0u32.to_le_bytes());
+    let crc = crc32(&head);
+    head.extend_from_slice(&crc.to_le_bytes());
+    let mut table = v2[64..64 + count * 24].to_vec();
+    for entry in table.chunks_exact_mut(24) {
+        let off = u64::from_le_bytes(entry[4..12].try_into().unwrap()) - 16;
+        entry[4..12].copy_from_slice(&off.to_le_bytes());
+    }
+    let crc = crc32(&table);
+    table.extend_from_slice(&crc.to_le_bytes());
+    let mut out = head;
+    out.extend_from_slice(&table);
+    out.extend_from_slice(&v2[64 + count * 24 + 4..]);
+    out
+}
+
 #[test]
 fn compact_writes_store_and_reopen_uses_it() {
     let dir = temp_dir("fast_path");
@@ -71,20 +125,20 @@ fn compact_writes_store_and_reopen_uses_it() {
         let engine = Engine::open(raw_config(dir.clone())).unwrap();
         engine.apply(&churned_ops()).unwrap();
         engine.compact().unwrap();
-        assert_eq!(engine.metrics().store_reopens.get(), 0, "open of empty dir");
         fingerprint(&engine)
     };
     assert!(
         dir.join(STORE_FILE).exists(),
         "compaction must pack a store"
     );
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(names, [STORE_FILE, "wal.log"], "one snapshot file, no tmp");
 
     let engine = Engine::open(raw_config(dir.clone())).unwrap();
-    assert_eq!(
-        engine.metrics().store_reopens.get(),
-        1,
-        "stamped snapshot + matching store must take the fast path"
-    );
     assert_eq!(fingerprint(&engine), before, "store reopen changed state");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -102,7 +156,7 @@ fn wal_ops_after_compaction_replay_on_top_of_store() {
             .unwrap();
     }
     let reopened = Engine::open(raw_config(dir.clone())).unwrap();
-    assert_eq!(reopened.metrics().store_reopens.get(), 1);
+    assert_eq!(reopened.metrics().recovery_replays.get(), 2);
     let expected = {
         // Same history replayed WAL-only (no compaction) — the oracle.
         let dir2 = temp_dir("wal_on_top_oracle");
@@ -126,18 +180,18 @@ fn missing_or_corrupt_store_blocks_open_structurally() {
         let engine = Engine::open(raw_config(dir.clone())).unwrap();
         engine.apply(&churned_ops()).unwrap();
         engine.compact().unwrap();
+        write_text_state(&engine, &dir, 0, 0);
     }
 
-    // Deleted store: the stamped snapshot has nothing to vouch for.
+    // Deleted store next to a text snapshot: refuse and name the import.
     let store = dir.join(STORE_FILE);
     let bytes = std::fs::read(&store).unwrap();
     std::fs::remove_file(&store).unwrap();
-    let err = Engine::open(raw_config(dir.clone()))
-        .unwrap_err()
-        .to_string();
-    assert!(err.contains("store"), "missing store: got {err}");
+    let err = assert_needs_import(&dir);
+    assert!(err.contains(STATE_FILE), "missing store: got {err}");
+    std::fs::remove_file(dir.join(STATE_FILE)).unwrap();
 
-    // Corrupted store (flip a payload byte): stamp no longer matches.
+    // Corrupted store (flip a κ payload byte): its crc check fails.
     let mut flipped = bytes.clone();
     let last = flipped.len() - 1;
     flipped[last] ^= 0xff;
@@ -145,7 +199,7 @@ fn missing_or_corrupt_store_blocks_open_structurally() {
     let err = Engine::open(raw_config(dir.clone()))
         .unwrap_err()
         .to_string();
-    assert!(err.contains("store"), "corrupt store: got {err}");
+    assert!(err.contains("checksum"), "corrupt store: got {err}");
 
     // Restored byte-identical store: opens again.
     std::fs::write(&store, &bytes).unwrap();
@@ -154,41 +208,127 @@ fn missing_or_corrupt_store_blocks_open_structurally() {
 }
 
 #[test]
-fn legacy_stampless_snapshot_still_opens_but_not_next_to_a_store() {
-    let dir = temp_dir("legacy");
+fn text_only_directory_needs_import() {
+    let dir = temp_dir("text_only");
+    std::fs::create_dir_all(&dir).unwrap();
+    let before = {
+        let src = Engine::open(raw_config(temp_dir("text_only_src"))).unwrap();
+        src.apply(&churned_ops()).unwrap();
+        write_text_state(&src, &dir, 5, 2);
+        fingerprint(&src)
+    };
+    assert_needs_import(&dir);
+    assert!(
+        !dir.join(STORE_FILE).exists(),
+        "a refused open writes nothing"
+    );
+
+    import_text_snapshot(&dir).unwrap();
+    let engine = Engine::open(raw_config(dir.clone())).unwrap();
+    assert_eq!((engine.applied_seq(), engine.term()), (5, 2));
+    assert_eq!(fingerprint(&engine), before);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(temp_dir("text_only_src")).ok();
+}
+
+#[test]
+fn version_one_store_needs_import() {
+    let dir = temp_dir("v1_store");
     let before = {
         let engine = Engine::open(raw_config(dir.clone())).unwrap();
         engine.apply(&churned_ops()).unwrap();
         engine.compact().unwrap();
+        // What an older build left: a stamped text snapshot next to a
+        // version-1 store of the same state.
+        write_text_state(&engine, &dir, 9, 4);
         fingerprint(&engine)
     };
-
-    // Strip the stamp from the header — a pre-store (v1-style) snapshot.
     let state = dir.join(STATE_FILE);
     let text = std::fs::read_to_string(&state).unwrap();
-    let stripped: String = text
-        .lines()
-        .map(|l| match l.split_once("; store ") {
-            Some((head, _)) => format!("{head}\n"),
-            None => format!("{l}\n"),
-        })
-        .collect();
-    std::fs::write(&state, &stripped).unwrap();
+    let stamped = text.replacen("; seq ", "; store 1234abcd; seq ", 1);
+    std::fs::write(&state, stamped).unwrap();
+    let store = dir.join(STORE_FILE);
+    let v1 = downgrade_to_v1(&std::fs::read(&store).unwrap());
+    std::fs::write(&store, &v1).unwrap();
 
-    // Next to the (now unvouched) store file: refuse.
-    let err = Engine::open(raw_config(dir.clone()))
-        .unwrap_err()
-        .to_string();
-    assert!(err.contains("store"), "unvouched store: got {err}");
+    let err = assert_needs_import(&dir);
+    assert!(err.contains("version 1"), "v1 store: got {err}");
 
-    // Store removed: plain legacy text recovery, same state, slow path.
-    std::fs::remove_file(dir.join(STORE_FILE)).unwrap();
+    import_text_snapshot(&dir).unwrap();
     let engine = Engine::open(raw_config(dir.clone())).unwrap();
-    assert_eq!(
-        engine.metrics().store_reopens.get(),
-        0,
-        "must not fast-path"
-    );
+    assert_eq!((engine.applied_seq(), engine.term()), (9, 4));
     assert_eq!(fingerprint(&engine), before);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn first_compaction_after_import_removes_the_text_snapshot() {
+    let dir = temp_dir("import_then_compact");
+    std::fs::create_dir_all(&dir).unwrap();
+    {
+        let src = Engine::open(raw_config(temp_dir("import_src"))).unwrap();
+        src.apply(&churned_ops()).unwrap();
+        write_text_state(&src, &dir, 7, 3);
+    }
+    import_text_snapshot(&dir).unwrap();
+    // The import leaves the text in place, so importing twice is safe.
+    assert!(dir.join(STATE_FILE).exists());
+    import_text_snapshot(&dir).unwrap();
+
+    let expected = {
+        let engine = Engine::open(raw_config(dir.clone())).unwrap();
+        assert_eq!((engine.applied_seq(), engine.term()), (7, 3));
+        engine.apply(&[WalOp::Insert(0, 47)]).unwrap();
+        engine.compact().unwrap();
+        assert!(
+            !dir.join(STATE_FILE).exists(),
+            "compaction must delete the superseded text snapshot"
+        );
+        fingerprint(&engine)
+    };
+    let engine = Engine::open(raw_config(dir.clone())).unwrap();
+    assert_eq!((engine.applied_seq(), engine.term()), (8, 3));
+    assert_eq!(engine.metrics().recovery_replays.get(), 0);
+    assert_eq!(fingerprint(&engine), expected);
+    // With the text gone, a later pack cannot roll the store back.
+    assert!(import_text_snapshot(&dir).is_err());
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(temp_dir("import_src")).ok();
+}
+
+#[test]
+fn leftover_tmp_store_from_a_crash_is_ignored() {
+    let dir = temp_dir("leftover_tmp");
+    let tail = [WalOp::Insert(0, 47), WalOp::Remove(1, 2)];
+    {
+        let engine = Engine::open(raw_config(dir.clone())).unwrap();
+        engine.apply(&churned_ops()).unwrap();
+        engine.compact().unwrap();
+        engine.apply(&tail).unwrap();
+    }
+    // A crash mid-compaction: a half-written store sits at the tmp path.
+    let store = std::fs::read(dir.join(STORE_FILE)).unwrap();
+    let tmp = dir.join("state.tkcstor.tmp");
+    std::fs::write(&tmp, &store[..store.len() / 2]).unwrap();
+
+    let expected = {
+        let dir2 = temp_dir("leftover_tmp_oracle");
+        let oracle = Engine::open(raw_config(dir2.clone())).unwrap();
+        let mut ops = churned_ops();
+        ops.extend_from_slice(&tail);
+        oracle.apply(&ops).unwrap();
+        let f = (oracle.applied_seq(), fingerprint(&oracle));
+        std::fs::remove_dir_all(&dir2).ok();
+        f
+    };
+    let engine = Engine::open(raw_config(dir.clone())).unwrap();
+    assert_eq!(engine.metrics().recovery_replays.get(), 2);
+    assert_eq!((engine.applied_seq(), fingerprint(&engine)), expected);
+    // The next compaction overwrites the leftover and renames it away.
+    engine.compact().unwrap();
+    assert!(!tmp.exists());
+    drop(engine);
+    let engine = Engine::open(raw_config(dir.clone())).unwrap();
+    assert_eq!((engine.applied_seq(), fingerprint(&engine)), expected);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -5,11 +5,12 @@
 //!
 //! ```text
 //! ┌────────────────────────────┐ offset 0
-//! │ header (48 bytes)          │  magic "TKCSTOR" + version u8,
+//! │ header (64 bytes)          │  magic "TKCSTOR" + version u8,
 //! │                            │  n/edge_bound/m u64, flags u32,
-//! │                            │  section_count u32, reserved u32,
-//! │                            │  crc32(header[0..44]) u32
-//! ├────────────────────────────┤ offset 48
+//! │                            │  section_count u32, seq/term u64,
+//! │                            │  reserved u32,
+//! │                            │  crc32(header[0..60]) u32
+//! ├────────────────────────────┤ offset 64
 //! │ section table              │  section_count × 24-byte entries:
 //! │                            │  tag [u8;4], offset u64, len u64,
 //! │                            │  crc32(payload) u32
@@ -32,6 +33,11 @@
 //! and table at open and each full-section load against its crc, and
 //! [`crate::reader::StoreReader::verify_checksums`] streams all sections
 //! for an end-to-end integrity pass.
+//!
+//! `seq` and `term` are the replication position the store covers: the
+//! WAL sequence number of the last op folded into it (the floor later
+//! WAL records count up from) and the fencing term of the node that
+//! wrote it. Stores packed outside an engine carry zeros.
 
 use std::fmt;
 use std::io;
@@ -41,11 +47,13 @@ use crate::crc::crc32;
 /// The 7-byte file magic, followed by the format version byte.
 pub const STORE_MAGIC: &[u8; 7] = b"TKCSTOR";
 
-/// Current format version.
-pub const STORE_VERSION: u8 = 1;
+/// Current format version. Version 2 added the header's `seq` and
+/// `term`; version 1 stores are refused with
+/// [`StoreError::UnsupportedVersion`].
+pub const STORE_VERSION: u8 = 2;
 
 /// Byte length of the fixed header.
-pub const HEADER_LEN: usize = 48;
+pub const HEADER_LEN: usize = 64;
 
 /// Byte length of one section-table entry.
 pub const SECTION_ENTRY_LEN: usize = 24;
@@ -192,6 +200,10 @@ pub struct StoreHeader {
     pub flags: u32,
     /// Number of section-table entries that follow.
     pub section_count: u32,
+    /// WAL sequence number the store covers through.
+    pub seq: u64,
+    /// Fencing term of the node that wrote the store.
+    pub term: u64,
 }
 
 impl StoreHeader {
@@ -200,7 +212,7 @@ impl StoreHeader {
         self.flags & FLAG_HAS_KAPPA != 0
     }
 
-    /// Encodes the 48-byte header (crc included).
+    /// Encodes the 64-byte header (crc included).
     pub fn encode(&self) -> [u8; HEADER_LEN] {
         let mut out = [0u8; HEADER_LEN];
         let mut buf = Vec::with_capacity(HEADER_LEN);
@@ -211,6 +223,8 @@ impl StoreHeader {
         buf.extend_from_slice(&self.num_edges.to_le_bytes());
         buf.extend_from_slice(&self.flags.to_le_bytes());
         buf.extend_from_slice(&self.section_count.to_le_bytes());
+        buf.extend_from_slice(&self.seq.to_le_bytes());
+        buf.extend_from_slice(&self.term.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes()); // reserved
         let crc = crc32(&buf);
         buf.extend_from_slice(&crc.to_le_bytes());
@@ -218,12 +232,21 @@ impl StoreHeader {
         out
     }
 
-    /// Decodes and validates a 48-byte header.
+    /// Decodes and validates a 64-byte header. Magic and version are
+    /// checked before the length and the crc, so a store of another
+    /// version (whose header has another length) reports its version.
     pub fn decode(bytes: &[u8]) -> Result<StoreHeader, StoreError> {
+        if bytes.get(..7) != Some(STORE_MAGIC.as_slice()) {
+            return Err(StoreError::BadMagic);
+        }
+        let version = *bytes.get(7).ok_or(StoreError::BadMagic)?;
+        if version != STORE_VERSION {
+            return Err(StoreError::UnsupportedVersion(version));
+        }
         let bytes: &[u8; HEADER_LEN] = bytes
             .get(..HEADER_LEN)
             .and_then(|b| b.try_into().ok())
-            .ok_or(StoreError::Corrupt("header shorter than 48 bytes".into()))?;
+            .ok_or(StoreError::Corrupt("header shorter than 64 bytes".into()))?;
         let (body, crc_bytes) = bytes.split_at(HEADER_LEN - 4);
         let stored = u32::from_le_bytes(
             crc_bytes
@@ -232,13 +255,6 @@ impl StoreHeader {
         );
         if crc32(body) != stored {
             return Err(StoreError::Checksum { part: "header" });
-        }
-        if body.get(..7) != Some(STORE_MAGIC.as_slice()) {
-            return Err(StoreError::BadMagic);
-        }
-        let version = *body.get(7).ok_or(StoreError::BadMagic)?;
-        if version != STORE_VERSION {
-            return Err(StoreError::UnsupportedVersion(version));
         }
         let u64_at = |at: usize| -> Result<u64, StoreError> {
             body.get(at..at + 8)
@@ -258,6 +274,8 @@ impl StoreHeader {
             num_edges: u64_at(24)?,
             flags: u32_at(32)?,
             section_count: u32_at(36)?,
+            seq: u64_at(40)?,
+            term: u64_at(48)?,
         })
     }
 }
@@ -373,6 +391,8 @@ mod tests {
             num_edges: 20,
             flags: FLAG_HAS_KAPPA,
             section_count: 6,
+            seq: 0x0102_0304_0506_0708,
+            term: 42,
         }
     }
 
@@ -382,6 +402,31 @@ mod tests {
         let bytes = h.encode();
         assert_eq!(StoreHeader::decode(&bytes).unwrap(), h);
         assert!(StoreHeader::decode(&bytes).unwrap().has_kappa());
+    }
+
+    #[test]
+    fn seq_and_term_roundtrip_through_the_header() {
+        for (seq, term) in [(0, 0), (7, 3), (u64::MAX, u64::MAX - 1)] {
+            let h = StoreHeader {
+                seq,
+                term,
+                ..header()
+            };
+            let back = StoreHeader::decode(&h.encode()).unwrap();
+            assert_eq!((back.seq, back.term), (seq, term));
+        }
+    }
+
+    #[test]
+    fn version_one_header_reports_its_version() {
+        // A v1 header is 48 bytes with its crc at 44..48; the version
+        // must be reported before the v2 length and crc are checked.
+        let mut v1 = header().encode();
+        v1[7] = 1;
+        assert!(matches!(
+            StoreHeader::decode(&v1[..48]),
+            Err(StoreError::UnsupportedVersion(1))
+        ));
     }
 
     #[test]
@@ -400,6 +445,10 @@ mod tests {
         assert!(matches!(
             StoreHeader::decode(&clean[..20]),
             Err(StoreError::Corrupt(_))
+        ));
+        assert!(matches!(
+            StoreHeader::decode(&clean[..5]),
+            Err(StoreError::BadMagic)
         ));
     }
 

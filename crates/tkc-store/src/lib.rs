@@ -52,6 +52,6 @@ pub mod writer;
 
 pub use cache::{CacheStats, PageCacheConfig};
 pub use format::{SectionTag, StoreError, StoreInfo, STORE_MAGIC, STORE_VERSION};
-pub use reader::{file_stamp, StoreReader};
+pub use reader::StoreReader;
 pub use scratch::ScratchFile;
 pub use writer::{pack_graph, StoreParts};

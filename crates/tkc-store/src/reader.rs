@@ -162,6 +162,17 @@ impl StoreReader {
         self.header.edge_bound as usize
     }
 
+    /// WAL sequence number the store covers through (0 outside an
+    /// engine).
+    pub fn seq(&self) -> u64 {
+        self.header.seq
+    }
+
+    /// Fencing term of the node that wrote the store.
+    pub fn term(&self) -> u64 {
+        self.header.term
+    }
+
     /// True if the store carries a κ section.
     pub fn has_kappa(&self) -> bool {
         self.header.has_kappa()
@@ -546,51 +557,6 @@ impl StoreReader {
         }
         Ok(())
     }
-}
-
-/// The identity stamp of the store at `path`: a crc over its (validated)
-/// header fields and section-table entries — excluding the embedded
-/// header/table checksums, whose self-validating structure would reduce
-/// the crc to a content-independent constant (see
-/// [`crate::StoreParts::stamp`], which this matches byte-for-byte).
-/// Cheap — two small reads, no payload access; payload *integrity* is
-/// the per-section crcs' job, checked on access.
-pub fn file_stamp(path: &Path) -> Result<String, StoreError> {
-    let mut file = File::open(path)?;
-    let mut head = vec![0u8; HEADER_LEN];
-    file.read_exact(&mut head).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            StoreError::Corrupt("file shorter than the fixed header".into())
-        } else {
-            StoreError::Io(e)
-        }
-    })?;
-    let header = StoreHeader::decode(&head)?;
-    if header.section_count == 0 || header.section_count > MAX_SECTIONS {
-        return Err(StoreError::Corrupt(format!(
-            "implausible section count {}",
-            header.section_count
-        )));
-    }
-    let mut table = vec![0u8; header.section_count as usize * SECTION_ENTRY_LEN + 4];
-    file.read_exact(&mut table).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            StoreError::Corrupt("file shorter than its section table".into())
-        } else {
-            StoreError::Io(e)
-        }
-    })?;
-    let mut crc = Crc32::new();
-    crc.update(
-        head.get(..HEADER_LEN - 4)
-            .ok_or_else(|| StoreError::Corrupt("header shorter than its crc".into()))?,
-    );
-    crc.update(
-        table
-            .get(..table.len() - 4)
-            .ok_or_else(|| StoreError::Corrupt("section table shorter than its crc".into()))?,
-    );
-    Ok(format!("{:08x}", crc.finish()))
 }
 
 impl AdjacencySource for StoreReader {

@@ -122,6 +122,8 @@ pub fn pack_graph(
         num_edges: g.num_edges() as u64,
         flags,
         section_count: payloads.len() as u32,
+        seq: 0,
+        term: 0,
     };
     // Lay out payloads back to back after the table and checksum them.
     let table_len = payloads.len() * SECTION_ENTRY_LEN + 4;
@@ -172,31 +174,14 @@ impl StoreParts {
         table
     }
 
-    /// The store's identity stamp: a crc over the header fields and
-    /// section-table entries, **excluding** the embedded header/table
-    /// checksums. The exclusion is load-bearing: CRC32 is linear, so a
-    /// stream ending in its own crc leaves the accumulator at a constant
-    /// residue no matter the content — stamping `header‖crc‖table‖crc`
-    /// whole would make every store stamp identical. What remains still
-    /// pins the identity: the header carries the counts/flags and each
-    /// table entry carries its section's length and *payload* crc, so
-    /// any payload change at pack time changes the stamp.
-    ///
-    /// This is an **identity** for pairing a snapshot with the store
-    /// packed alongside it (see `tkc-core::persist::verify_store_stamp`),
-    /// not an integrity check of the payload bytes on disk — those are
-    /// covered by the per-section crcs the reader verifies on access.
-    /// Compare with [`crate::reader::file_stamp`] on reopen.
-    pub fn stamp(&self) -> String {
-        let head = self.header.encode();
-        let table = self.encode_table();
-        let mut crc = crate::crc::Crc32::new();
-        // Stamp the header minus its trailing crc (same exclusion as the table).
-        crc.update(head.get(..HEADER_LEN - 4).unwrap_or(&head));
-        // encode_table() always appends a 4-byte crc; drop it from the stamp.
-        let body = table.len().saturating_sub(4);
-        crc.update(table.get(..body).unwrap_or(&table));
-        format!("{:08x}", crc.finish())
+    /// Sets the replication position the store covers in its header:
+    /// `seq`, the WAL sequence number of the last op folded in,
+    /// and `term`, the writer's fencing term. [`pack_graph`] leaves both
+    /// at zero.
+    pub fn with_position(mut self, seq: u64, term: u64) -> StoreParts {
+        self.header.seq = seq;
+        self.header.term = term;
+        self
     }
 
     /// Writes the store through `storage`: header, table, then one
@@ -215,8 +200,9 @@ impl StoreParts {
     }
 
     /// Writes the store to `path` (truncating any previous contents) via
-    /// [`DiskFile`]. Callers needing atomic replacement write to a
-    /// temporary path and rename, as the engine's compaction does.
+    /// [`DiskFile`] and syncs it. Callers needing atomic replacement
+    /// write to a temporary path and rename, as the engine's compaction
+    /// does.
     pub fn write_path(&self, path: &Path) -> io::Result<u64> {
         let mut file = DiskFile::open(path)?;
         self.write_to_storage(&mut file)

@@ -234,45 +234,37 @@ proptest! {
     }
 }
 
-/// The identity stamp must actually discriminate. Regression guard for a
-/// subtle linearity trap: crc'ing a stream that ends in its own crc
-/// (header‖header_crc, table‖table_crc) collapses to a constant residue
-/// for *every* store — the stamp must exclude the embedded checksums.
+/// The replication position survives pack → disk → open, defaults to
+/// zero, and is covered by the header crc.
 #[test]
-fn stamps_discriminate_and_roundtrip_through_disk() {
-    let graphs = [
-        generators::complete(4),
-        generators::complete(9),
-        generators::connected_caveman(3, 5),
-    ];
-    let mut stamps = Vec::new();
-    for (i, g) in graphs.iter().enumerate() {
-        let supports = edge_supports_csr(g);
-        let parts = pack_graph(g, &supports, None).unwrap();
-        let path = temp_store(&format!("stamp_{i}"));
-        parts.write_path(&path).unwrap();
-        let on_disk = tkc_store::file_stamp(&path).unwrap();
-        assert_eq!(parts.stamp(), on_disk, "pack-side and file stamps agree");
-        stamps.push(on_disk);
-        std::fs::remove_file(&path).ok();
-    }
-    stamps.sort();
-    stamps.dedup();
-    assert_eq!(
-        stamps.len(),
-        graphs.len(),
-        "distinct stores must stamp distinctly"
-    );
-
-    // Same graph, different payload (κ present vs absent, then κ+1):
-    // the table's per-section crcs must push the change into the stamp.
-    let g = generators::complete(5);
+fn seq_and_term_roundtrip_through_disk() {
+    let g = generators::connected_caveman(3, 5);
     let supports = edge_supports_csr(&g);
-    let kappa = vec![3u32; g.edge_bound()];
-    let kappa2 = vec![4u32; g.edge_bound()];
-    let plain = pack_graph(&g, &supports, None).unwrap().stamp();
-    let with_k = pack_graph(&g, &supports, Some(&kappa)).unwrap().stamp();
-    let with_k2 = pack_graph(&g, &supports, Some(&kappa2)).unwrap().stamp();
-    assert_ne!(plain, with_k);
-    assert_ne!(with_k, with_k2);
+    let path = temp_store("position.tkcstor");
+
+    pack_graph(&g, &supports, None)
+        .unwrap()
+        .write_path(&path)
+        .unwrap();
+    let r = StoreReader::open(&path, PageCacheConfig::default()).unwrap();
+    assert_eq!((r.seq(), r.term()), (0, 0), "pack_graph leaves zeros");
+
+    pack_graph(&g, &supports, None)
+        .unwrap()
+        .with_position(7, 3)
+        .write_path(&path)
+        .unwrap();
+    let r = StoreReader::open(&path, PageCacheConfig::default()).unwrap();
+    assert_eq!((r.seq(), r.term()), (7, 3));
+    assert_eq!(r.load_graph().unwrap().num_edges(), g.num_edges());
+
+    // A flipped seq byte fails the header crc.
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[40] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(matches!(
+        StoreReader::open(&path, PageCacheConfig::default()),
+        Err(tkc_store::StoreError::Checksum { part: "header" })
+    ));
+    std::fs::remove_file(&path).ok();
 }

@@ -54,11 +54,10 @@ fn main() {
                     if snap.epoch() != last_epoch {
                         last_epoch = snap.epoch();
                         println!(
-                            "[reader {id}] epoch {:>3}: {} edges, max κ = {}, {} triangles",
+                            "[reader {id}] epoch {:>3}: {} edges, max κ = {}",
                             snap.epoch(),
                             snap.num_edges(),
-                            snap.max_kappa(),
-                            snap.triangle_count()
+                            snap.max_kappa()
                         );
                     }
                     std::thread::sleep(Duration::from_millis(5));

@@ -504,13 +504,13 @@ def main():
                 proc.kill()
                 proc.wait()
 
-        # Graceful shutdown compacts: the state file exists and a second
+        # Graceful shutdown compacts: the packed store exists and a second
         # serve recovers the graph from it (WAL-replay equivalence is
         # covered by the Rust integration tests).
         import os
 
-        assert os.path.exists(os.path.join(state_dir, "state.tkc")), \
-            "graceful shutdown must leave a compacted state file"
+        assert os.path.exists(os.path.join(state_dir, "state.tkcstor")), \
+            "graceful shutdown must leave a compacted store"
         # The restarted server also carries the request-span surface:
         # --slow-op-ms 0 logs every request (elapsed > threshold) with
         # its completed span tree, and --slo arms per-verb objectives
