@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use tkc_bench::seed_from_env;
+use tkc_bench::{host_json, seed_from_env};
 
 /// The load mix: verb name, sampling weight, and whether it writes.
 const MIX: [(&str, u32); 4] = [("KAPPA", 50), ("MAXK", 15), ("TRUSS", 15), ("INSERT", 20)];
@@ -660,12 +660,13 @@ fn main() {
     // Replication phase: primary/follower lag + follower-read latency.
     let replication = replication_phase(&bin, quick, seed);
 
+    let mode = if quick { "quick" } else { "full" };
     let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"version\": 2,\n  \"mode\": \"{}\",\n  \
-         \"seed\": {},\n  \"connections\": {},\n  \"requests\": {},\n  \
+        "{{\n  \"bench\": \"serve\",\n  \"version\": 2,\n  \"mode\": \"{mode}\",\n  \
+         \"host\": {},\n  \"seed\": {},\n  \"connections\": {},\n  \"requests\": {},\n  \
          \"open_loop_rate_per_conn\": {:.0},\n  \"load_millis\": {:.1},\n  \
          \"results\": [\n{}\n  ],\n{}\n}}\n",
-        if quick { "quick" } else { "full" },
+        host_json(mode),
         seed,
         conns,
         samples.len(),

@@ -29,7 +29,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use tkc_bench::{fmt_secs, seed_from_env, time};
+use tkc_bench::{fmt_secs, host_json, seed_from_env, time};
 use tkc_core::decompose::{
     triangle_kcore_decomposition, triangle_kcore_decomposition_timed, Decomposition, PhaseTimings,
 };
@@ -503,10 +503,12 @@ fn main() {
         .iter()
         .map(|s| format!("    {}", s.to_json()))
         .collect();
+    let mode = if quick { "quick" } else { "full" };
     let json = format!(
         "{{\n  \"bench\": \"decompose-snapshot\",\n  \"version\": 4,\n  \
-         \"mode\": \"{}\",\n  \"seed\": {},\n{}{}  \"results\": [\n{}\n  ]\n}}\n",
-        if quick { "quick" } else { "full" },
+         \"mode\": \"{mode}\",\n  \"host\": {},\n  \"seed\": {},\n{}{}  \
+         \"results\": [\n{}\n  ]\n}}\n",
+        host_json(mode),
         seed,
         overhead,
         span_overhead,

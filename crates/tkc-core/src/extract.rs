@@ -3,7 +3,7 @@
 //! hierarchy, and surfacing of exact cliques (an `n`-clique is precisely an
 //! `n`-vertex Triangle K-Core of number `n − 2`).
 
-use tkc_graph::components::{edge_set_vertices, triangle_connected_components};
+use tkc_graph::components::{ComponentSummary, TriangleComponents};
 use tkc_graph::{EdgeId, Graph, VertexId};
 
 use crate::decompose::Decomposition;
@@ -36,21 +36,27 @@ impl Core {
 }
 
 /// All maximal Triangle K-Cores of number ≥ `k` (for `k ≥ 1`): the
-/// triangle-connected components of edges with `κ ≥ k` (Claim 2).
+/// triangle-connected components of edges with `κ ≥ k` (Claim 2), in
+/// order of their smallest edge id.
 pub fn cores_at_level(g: &Graph, decomp: &Decomposition, k: u32) -> Vec<Core> {
     assert!(k >= 1, "level-0 cores are the whole graph");
-    let comps = triangle_connected_components(g, |e| decomp.kappa(e) >= k);
-    comps
+    TriangleComponents::new(g, |e| decomp.kappa(e) >= k)
+        .members_with_vertices()
         .into_iter()
-        .map(|edges| {
-            let vertices = edge_set_vertices(g, &edges);
-            Core {
-                level: k,
-                edges,
-                vertices,
-            }
+        .map(|(edges, vertices)| Core {
+            level: k,
+            edges,
+            vertices,
         })
         .collect()
+}
+
+/// The counts of [`cores_at_level`] — cores, their edges, the sum of
+/// their vertex counts — plus the kept edges and triangles the pass
+/// enumerated, from the same kernel but with no [`Core`] built.
+pub fn summary_at_level(g: &Graph, decomp: &Decomposition, k: u32) -> ComponentSummary {
+    assert!(k >= 1, "level-0 cores are the whole graph");
+    TriangleComponents::new(g, |e| decomp.kappa(e) >= k).summary()
 }
 
 /// The maximum Triangle K-Core containing edge `e` (Definition 4): the

@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use tkc_core::decompose::Decomposition;
 use tkc_core::dynamic::{DynamicTriangleKCore, UpdateStats};
-use tkc_core::extract::cores_at_level;
+use tkc_core::extract::summary_at_level;
 use tkc_core::persist::{read_state_full, PersistError};
 use tkc_faults::{DiskFile, FaultFile, FaultPlan};
 use tkc_graph::csr::edge_supports_csr;
@@ -406,13 +406,21 @@ impl EpochSnapshot {
     }
 
     /// All maximal Triangle K-Cores of number ≥ `k` (`k` clamped to ≥ 1),
-    /// summarized.
+    /// summarized: one pass of the extraction kernel over the κ ≥ k
+    /// edges, counting only. Records an `extract.truss` span (attributes
+    /// `k`, `kept` edges and `triangles` enumerated) under the current
+    /// request span when tracing is on.
     pub fn truss(&self, k: u32) -> TrussSummary {
-        let cores = cores_at_level(&self.graph, &self.decomp, k.max(1));
+        let k = k.max(1);
+        let mut span = SpanGuard::child("extract.truss");
+        let s = summary_at_level(&self.graph, &self.decomp, k);
+        span.attr("k", u64::from(k));
+        span.attr("kept", s.kept_edges as u64);
+        span.attr("triangles", s.triangles);
         TrussSummary {
-            cores: cores.len(),
-            edges: cores.iter().map(|c| c.edges.len()).sum(),
-            vertices: cores.iter().map(|c| c.vertices.len()).sum(),
+            cores: s.components,
+            edges: s.edges,
+            vertices: s.vertices,
         }
     }
 
@@ -518,14 +526,30 @@ impl Engine {
     /// replays the WAL over it, truncates any torn tail, and publishes
     /// the recovered state as epoch 1. A text `state.tkc` with no store,
     /// or a store of an older format, fails with
-    /// [`EngineError::NeedsImport`].
+    /// [`EngineError::NeedsImport`]; a WAL that starts from a compaction
+    /// floor with no store beside it fails with
+    /// [`EngineError::MissingStore`].
     pub fn open(config: EngineConfig) -> Result<Engine, EngineError> {
         std::fs::create_dir_all(&config.dir)?;
         let registry = Arc::new(MetricsRegistry::new());
         let metrics = EngineMetrics::register(&registry);
-        let (mut core, floor_seq, term) = open_store(&config.dir)?;
+        let store = open_store(&config.dir)?;
         let (wal, recovery) = open_wal(&config)?;
-        let Recovery { ops, torn_bytes } = recovery;
+        let Recovery {
+            ops,
+            torn_bytes,
+            floor_seq: wal_floor,
+        } = recovery;
+        let (mut core, floor_seq, term) = match (store, wal_floor) {
+            (Some(store), _) => store,
+            (None, None) => (DynamicTriangleKCore::new(Graph::new()), 0, 0),
+            (None, Some(floor_seq)) => {
+                return Err(EngineError::MissingStore {
+                    dir: config.dir.clone(),
+                    floor_seq,
+                })
+            }
+        };
         let mut replay_report = ApplyReport::default();
         for &op in &ops {
             apply_to_core(&mut core, op, &mut replay_report);
@@ -1031,7 +1055,7 @@ impl Engine {
             .with_position(self.applied_seq.load(Ordering::Relaxed), self.term())
             .write_path(&tmp)?;
         commit_store(&self.config.dir, &tmp)?;
-        w.wal.reset()?;
+        w.wal.reset_to(self.applied_seq.load(Ordering::Relaxed))?;
         self.metrics.compactions.inc();
         Ok(())
     }
@@ -1066,7 +1090,7 @@ impl Engine {
         commit_store(&self.config.dir, &tmp)?;
         w.core = core;
         w.cumulative = UpdateStats::default();
-        w.wal.reset()?;
+        w.wal.reset_to(seq)?;
         self.applied_seq.store(seq, Ordering::Relaxed);
         self.set_term(term);
         self.publish_locked(&mut w);
@@ -1137,9 +1161,10 @@ impl Engine {
 }
 
 /// Loads the store in `dir`: the maintainer rebuilt from its graph and
-/// κ sections, plus the seq and term in its header. A directory with
-/// neither a store nor a text snapshot is a fresh engine.
-fn open_store(dir: &Path) -> Result<(DynamicTriangleKCore, u64, u64), EngineError> {
+/// κ sections, plus the seq and term in its header. `None` when the
+/// directory holds neither a store nor a text snapshot (a fresh engine,
+/// unless its WAL says otherwise).
+fn open_store(dir: &Path) -> Result<Option<(DynamicTriangleKCore, u64, u64)>, EngineError> {
     let store_path = dir.join(STORE_FILE);
     if !store_path.exists() {
         if dir.join(STATE_FILE).exists() {
@@ -1148,9 +1173,9 @@ fn open_store(dir: &Path) -> Result<(DynamicTriangleKCore, u64, u64), EngineErro
                 found: format!("{STATE_FILE} and no {STORE_FILE}"),
             });
         }
-        return Ok((DynamicTriangleKCore::new(Graph::new()), 0, 0));
+        return Ok(None);
     }
-    load_store(&store_path).map_err(|e| match e {
+    load_store(&store_path).map(Some).map_err(|e| match e {
         StoreError::UnsupportedVersion(v) if v < tkc_store::STORE_VERSION => {
             EngineError::NeedsImport {
                 dir: dir.to_path_buf(),
@@ -1559,6 +1584,46 @@ mod tests {
             );
         }
         trace.clear();
+    }
+
+    #[test]
+    fn truss_records_an_extraction_span_under_the_request() {
+        let _guard = crate::global_trace_test_guard();
+        let dir = temp_dir("truss_span");
+        let engine = Engine::open(manual_config(&dir)).unwrap();
+        engine.apply(&clique_ops(0)).unwrap();
+        engine.apply(&clique_ops(10)).unwrap();
+        engine.publish();
+        let snap = engine.snapshot();
+        let trace = TraceBuffer::global();
+        trace.set_enabled(true);
+        let trace_id;
+        {
+            let root = SpanGuard::root("TRUSS");
+            trace_id = root.trace_id().unwrap();
+            let t = snap.truss(3);
+            assert_eq!((t.cores, t.edges, t.vertices), (2, 20, 10));
+        }
+        trace.set_enabled(false);
+        let spans = trace.spans_for_trace(trace_id);
+        let root = spans.iter().find(|s| s.name == "TRUSS").unwrap();
+        let extract = spans
+            .iter()
+            .find(|s| s.name == "extract.truss")
+            .unwrap_or_else(|| panic!("missing extract.truss: {spans:?}"));
+        assert_eq!(extract.parent_id, root.span_id);
+        // Two K5s: 20 kept edges, 2 × C(5,3) triangles.
+        for attr in [("k", 3), ("kept", 20), ("triangles", 20)] {
+            assert!(
+                extract.attrs.contains(&attr),
+                "{attr:?} in {:?}",
+                extract.attrs
+            );
+        }
+        trace.clear();
+        // Off, the span is inert: nothing reaches the ring.
+        snap.truss(3);
+        assert!(trace.spans_for_trace(trace_id).is_empty());
     }
 
     #[test]

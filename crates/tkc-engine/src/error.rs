@@ -22,7 +22,7 @@ use std::path::PathBuf;
 
 use tkc_core::persist::PersistError;
 
-use crate::engine::STATE_FILE;
+use crate::engine::{STATE_FILE, STORE_FILE};
 use crate::wal::WalError;
 
 /// Where the engine is in its `Serving → ReadOnly → Recovering → Serving`
@@ -123,6 +123,16 @@ pub enum EngineError {
         /// What the directory holds instead of a current store.
         found: String,
     },
+    /// The WAL starts from a compaction floor — the ops up to
+    /// `floor_seq` were moved into the packed store — but the store is
+    /// gone. Replaying the log alone would serve a graph missing those
+    /// ops, so the engine refuses to open.
+    MissingStore {
+        /// The state directory.
+        dir: PathBuf,
+        /// The WAL's compaction floor.
+        floor_seq: u64,
+    },
 }
 
 impl EngineError {
@@ -141,7 +151,9 @@ impl EngineError {
     pub fn wire_token(&self) -> &'static str {
         match self {
             EngineError::Wal(_) => "WAL",
-            EngineError::Persist(_) | EngineError::NeedsImport { .. } => "PERSIST",
+            EngineError::Persist(_)
+            | EngineError::NeedsImport { .. }
+            | EngineError::MissingStore { .. } => "PERSIST",
             EngineError::Degraded { .. } => "DEGRADED",
             EngineError::InvalidOp { .. } => "INVALID",
             EngineError::Readonly { .. } => "READONLY",
@@ -164,6 +176,12 @@ impl fmt::Display for EngineError {
                 "{} holds {found}; run `tkc store pack {}` to import its {STATE_FILE}",
                 dir.display(),
                 dir.display()
+            ),
+            EngineError::MissingStore { dir, floor_seq } => write!(
+                f,
+                "{} is missing, but the WAL was compacted into it at seq {floor_seq}; \
+                 restore the store that compaction wrote",
+                dir.join(STORE_FILE).display()
             ),
         }
     }

@@ -332,3 +332,41 @@ fn leftover_tmp_store_from_a_crash_is_ignored() {
     assert_eq!((engine.applied_seq(), fingerprint(&engine)), expected);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn deleted_store_after_compaction_refuses_to_open() {
+    let dir = temp_dir("deleted_store");
+    {
+        let engine = Engine::open(raw_config(dir.clone())).unwrap();
+        engine
+            .apply(&[
+                WalOp::Insert(0, 1),
+                WalOp::Insert(1, 2),
+                WalOp::Insert(0, 2),
+                WalOp::Insert(2, 3),
+            ])
+            .unwrap();
+        engine.compact().unwrap();
+    }
+    let store = dir.join(STORE_FILE);
+    let bytes = std::fs::read(&store).unwrap();
+    std::fs::remove_file(&store).unwrap();
+    match Engine::open(raw_config(dir.clone())) {
+        Err(e) => {
+            assert_eq!(e.wire_token(), "PERSIST", "got {e:?}");
+            let msg = e.to_string();
+            assert!(msg.contains(STORE_FILE), "error must name the store: {msg}");
+            assert!(msg.contains("seq 4"), "error must name the floor: {msg}");
+        }
+        Ok(engine) => panic!(
+            "a compacted dir without its store opened with {} edges",
+            engine.snapshot().num_edges()
+        ),
+    }
+    // The store the compaction wrote brings it back, WAL floor and all.
+    std::fs::write(&store, &bytes).unwrap();
+    let engine = Engine::open(raw_config(dir.clone())).unwrap();
+    assert_eq!(engine.snapshot().num_edges(), 4);
+    assert_eq!(engine.applied_seq(), 4);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -19,6 +19,7 @@ use tkc_core::reference::naive_kappa;
 use tkc_graph::{generators, Graph, VertexId};
 
 use crate::certificate::KappaCertificate;
+use crate::extraction::check_core_extraction;
 
 /// One operation of a differential stream, in raw vertex ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,7 +146,9 @@ pub struct Mismatch {
     pub dynamic: u32,
     /// κ from the from-scratch recompute.
     pub fresh: u32,
-    /// Which oracle disagreed (for deep oracles: `"naive"`/`"certificate"`).
+    /// Which oracle disagreed (for deep oracles: `"naive"`/`"certificate"`;
+    /// for extraction: `"core-extraction"`/`"core-summary"`, see
+    /// [`crate::extraction::check_core_extraction`]).
     pub oracle: &'static str,
 }
 
@@ -451,6 +454,7 @@ fn check_oracles(d: &DynamicTriangleKCore, deep: bool) -> Result<(), Mismatch> {
     check_support_kernels(d.graph())?;
     check_parallel_peel(d.graph())?;
     kappa_matches_recompute(d.graph(), d.kappa_slice())?;
+    check_core_extraction(d.graph(), d.kappa_slice())?;
     if deep {
         let naive = naive_kappa(d.graph());
         for e in d.graph().edge_ids() {

@@ -13,7 +13,10 @@
 //! * [`differential`] — a seeded op-stream harness that checks the dynamic
 //!   maintainer against a from-scratch recompute (and optionally the naive
 //!   definitional oracle plus the certificate checker) after every batch,
-//!   shrinking failures to minimal ready-to-paste reproductions.
+//!   shrinking failures to minimal ready-to-paste reproductions;
+//! * [`extraction`] — the BFS reference for Triangle K-Core extraction
+//!   and [`extraction::check_core_extraction`], which holds the production
+//!   kernel's cores and counts to it at every level.
 //!
 //! ```
 //! use tkc_core::decompose::triangle_kcore_decomposition;
@@ -38,9 +41,11 @@
 
 pub mod certificate;
 pub mod differential;
+pub mod extraction;
 
 pub use certificate::{KappaCertificate, Report, Violation};
 pub use differential::{
     kappa_matches_recompute, kappa_stamp, run_stream, run_suite, FailureDump, StreamConfig,
     StreamStats,
 };
+pub use extraction::{check_core_extraction, triangle_connected_components_bfs};
