@@ -67,7 +67,7 @@ fn bench_ablations(c: &mut Criterion) {
 
     let name = format!("astro_{}e", g.num_edges());
     group.bench_with_input(BenchmarkId::new("peel_bucket", &name), &g, |b, g| {
-        b.iter(|| triangle_kcore_decomposition(g))
+        b.iter(|| tkc_verify::bucket::kappa(g))
     });
     group.bench_with_input(BenchmarkId::new("peel_binary_heap", &name), &g, |b, g| {
         b.iter(|| heap_peel(g))

@@ -35,7 +35,7 @@ fn main() {
         );
     }
     let d = triangle_kcore_decomposition(&g);
-    println!("\nprocessing order (increasing κ̃, bucket queue):");
+    println!("\nprocessing order (increasing κ̃, level by level; edge id within a round):");
     for (i, &e) in d.order().iter().enumerate() {
         let (u, v) = g.endpoints(e);
         println!(

@@ -79,14 +79,14 @@ mod tests {
     #[test]
     fn positionals_flags_switches() {
         let p = parse(
-            &v(&["decompose", "g.txt", "--top", "5", "--stored"]),
+            &v(&["decompose", "g.txt", "--top", "5", "--timings"]),
             &["top"],
         )
         .unwrap();
         assert_eq!(p.positionals, vec!["decompose", "g.txt"]);
         assert_eq!(p.flag("top"), Some("5"));
         assert_eq!(p.flag_parse::<usize>("top", 1).unwrap(), 5);
-        assert!(p.switch("stored"));
+        assert!(p.switch("timings"));
         assert!(!p.switch("verify"));
     }
 

@@ -1,8 +1,7 @@
 //! The `tkc` subcommands.
 
 use tkc_core::decompose::{
-    triangle_kcore_decomposition, triangle_kcore_decomposition_stored,
-    triangle_kcore_decomposition_timed, Decomposition,
+    triangle_kcore_decomposition, triangle_kcore_decomposition_timed, Decomposition,
 };
 use tkc_core::dynamic::{BatchOp, DynamicTriangleKCore};
 use tkc_core::extract::densest_cliques;
@@ -15,7 +14,7 @@ use crate::args::parse;
 
 /// Usage text printed on errors.
 pub const USAGE: &str = "usage:
-  tkc decompose <edges.txt> [--stored] [--top K] [--threads N] [--timings]
+  tkc decompose <edges.txt> [--top K] [--threads N] [--timings]
   tkc plot      <edges.txt> [--svg out.svg] [--tsv out.tsv] [--width N]
   tkc cliques   <edges.txt> [--top K]
   tkc update    <edges.txt> --ops <ops.txt> [--verify]
@@ -31,7 +30,7 @@ pub const USAGE: &str = "usage:
   tkc store     pack <edges.txt | state-dir> [--out file.tkcstor]
   tkc store     info <file.tkcstor>
   tkc store     decompose <file.tkcstor> [--budget N[k|m|g]]
-  tkc verify    <edges.txt> [--stored] [--ops <ops.txt>] [--threads N]
+  tkc verify    <edges.txt> [--ops <ops.txt>] [--threads N]
   tkc verify    --suite [--cases N]
   tkc serve     <state-dir> [--addr host:port] [--epoch-ops N]
                 [--compact-bytes N] [--queue-cap N]
@@ -47,9 +46,9 @@ pub const USAGE: &str = "usage:
   tkc chaos     [--seeds N] [--start-seed S] [--dir root] [--repl]
   tkc analyze   [--root dir] [--policy analyze.toml] [--format text|json]
 
-(--threads 0 = all cores; the support stage of Algorithm 1 runs on the
- wedge-balanced worker pool; TKC_LOG=error|warn|info|debug tunes
- diagnostics on stderr)
+(--threads 0 = all cores; Algorithm 1's support pass and peel rounds run
+ on the wedge-balanced worker pool, with the same κ and order at every
+ thread count; TKC_LOG=error|warn|info|debug tunes diagnostics on stderr)
 
 serve speaks a line protocol on --addr (default 127.0.0.1:7007):
   KAPPA u v | MAXK | TRUSS k | INSERT u v | REMOVE u v | BATCH n
@@ -176,12 +175,7 @@ fn summarize(g: &Graph, d: &Decomposition) {
 fn decompose(p: &crate::args::Parsed) -> Result<(), String> {
     let g = load(p.positional(1, "edge list path")?)?;
     let threads: usize = p.flag_parse("threads", 1)?;
-    if p.switch("timings") && p.switch("stored") {
-        return Err("--timings requires the CSR path (drop --stored)".into());
-    }
-    let d = if p.switch("stored") {
-        triangle_kcore_decomposition_stored(&g)
-    } else if p.switch("timings") {
+    let d = if p.switch("timings") {
         let (d, t) = triangle_kcore_decomposition_timed(&g, threads);
         println!(
             "phase timings: freeze {:?}, supports {:?}, peel {:?} (total {:?})",
@@ -809,10 +803,6 @@ fn verify(p: &crate::args::Parsed) -> Result<(), String> {
             println!("replayed {ins} insertions and {del} deletions");
             let (g, kappa) = m.into_parts();
             (g, kappa, "maintained κ after op replay")
-        } else if p.switch("stored") {
-            let d = triangle_kcore_decomposition_stored(&g);
-            let kappa = d.into_kappa();
-            (g, kappa, "stored-triangle decomposition")
         } else {
             let threads: usize = p.flag_parse("threads", 1)?;
             let d = Decomposition::compute_with(&g, threads);
@@ -1230,7 +1220,7 @@ mod tests {
         std::fs::write(&ops, "+ 0 4\n+ 1 4\n+ 2 4\n- 0 1\n").unwrap();
         let e: String = edges.to_str().unwrap().into();
         run(&["verify".into(), e.clone()]).unwrap();
-        run(&["verify".into(), e.clone(), "--stored".into()]).unwrap();
+        run(&["verify".into(), e.clone(), "--threads".into(), "2".into()]).unwrap();
         run(&[
             "verify".into(),
             e,

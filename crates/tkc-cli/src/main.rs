@@ -1,7 +1,7 @@
 //! `tkc` — command line front end for the Triangle K-Core suite.
 //!
 //! ```text
-//! tkc decompose <edges.txt> [--stored] [--top K]
+//! tkc decompose <edges.txt> [--top K]
 //! tkc plot      <edges.txt> [--svg out.svg] [--tsv out.tsv] [--width N]
 //! tkc cliques   <edges.txt> [--top K]
 //! tkc update    <edges.txt> --ops <ops.txt> [--verify]

@@ -1,24 +1,18 @@
 //! Algorithm 1 of the paper: compute every edge's maximum Triangle K-Core
 //! number `κ(e)` by peeling edges in increasing support order.
 //!
-//! The implementation uses the bucket-sort layout the paper recommends
-//! (step 7 footnote): a counting-sorted edge array plus per-bucket start
-//! indices gives O(1) "decrement support and re-sort" (step 16), for an
-//! overall cost of `O(|E| + Σ_e min(deg u, deg v))` — linear in the number
-//! of triangle *checks*, matching the paper's `O(|Tri|)` processing bound.
-//!
-//! The dominant cost is the **initial support stage**. By default it runs
-//! on the oriented CSR snapshot kernel (`tkc_graph::csr`), which enumerates
-//! each triangle exactly once and parallelizes across the worker pool —
-//! see [`Decomposition::compute_with`]. Building with the `hash-supports`
-//! feature swaps back the seed's mutable-adjacency support path (useful for
-//! differential debugging of the kernel itself); the peel loop is identical
-//! either way and the κ output is bit-identical by construction.
+//! One body runs at every thread count
+//! ([`triangle_kcore_decomposition_timed`]): freeze the graph into the
+//! oriented CSR snapshot (`tkc_graph::csr`), count supports in one
+//! enumeration pass that also collects the triangles, then peel level by
+//! level in frontier rounds ([`crate::peel_parallel`]). The paper's
+//! one-edge-at-a-time bucket queue lives on as the `tkc-verify`
+//! bucket-peel oracle the tests compare against.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-#[cfg(feature = "hash-supports")]
-use tkc_graph::triangles::edge_supports;
+use tkc_graph::csr::CsrGraph;
 use tkc_graph::{EdgeId, Graph};
 
 /// The result of a Triangle K-Core decomposition.
@@ -35,27 +29,16 @@ pub struct Decomposition {
 }
 
 impl Decomposition {
-    /// Runs Algorithm 1 sequentially. Equivalent to
-    /// [`triangle_kcore_decomposition`].
-    pub fn compute(g: &Graph) -> Decomposition {
-        Decomposition::compute_with(g, 1)
-    }
-
     /// Runs Algorithm 1 with `threads` workers (`0` = available
-    /// parallelism). Parallelism covers the whole run, not just supports:
-    /// above the wedge-work spawn floor the peel goes level-synchronous
-    /// (see [`crate::peel_parallel`]) — frontier rounds of atomic support
-    /// decrements over the frozen CSR — with output bit-identical to the
-    /// sequential reference peel for every thread count.
+    /// parallelism). κ, order, and max κ are identical for every thread
+    /// count. See [`triangle_kcore_decomposition_timed`].
     pub fn compute_with(g: &Graph, threads: usize) -> Decomposition {
-        triangle_kcore_decomposition_with(g, threads)
+        triangle_kcore_decomposition_timed(g, threads).0
     }
 
-    /// Assembles a decomposition from parts a peel implementation has
-    /// already validated (crate-internal: the level-synchronous parallel
-    /// peel builds κ/order/max-κ itself and must produce the same
-    /// invariants as [`peel_with_supports`] — κ bit-identical, `order` a
-    /// genuine peel order non-decreasing in κ).
+    /// Assembles a decomposition from parts the level-synchronous peel
+    /// has built: κ per raw edge id, `order` a genuine peel order
+    /// non-decreasing in κ, and the largest κ.
     pub(crate) fn from_parts(kappa: Vec<u32>, order: Vec<EdgeId>, max_kappa: u32) -> Decomposition {
         Decomposition {
             kappa,
@@ -70,10 +53,9 @@ impl Decomposition {
     /// layer — can query it through the same interface.
     ///
     /// The processing order is synthesized by counting-sorting live edges
-    /// on `(κ, edge id)`: non-decreasing in κ, as every order consumer
-    /// requires, but *not* necessarily the order Algorithm 1 would have
-    /// produced — Rule 1 triangle recovery ([`core_triangles_of_edge`])
-    /// wants a genuine peel order, so run the real decomposition for that.
+    /// on `(κ, edge id)`: not the order a peel would have produced, but
+    /// non-decreasing in κ, which is all every order consumer relies on —
+    /// Rule 1 triangle recovery ([`core_triangles_of_edge`]) included.
     pub fn from_kappa(g: &Graph, mut kappa: Vec<u32>) -> Decomposition {
         kappa.resize(g.edge_bound().max(kappa.len()), 0);
         let max_kappa = g.edge_ids().map(|e| kappa[e.index()]).max().unwrap_or(0);
@@ -171,6 +153,13 @@ impl Decomposition {
 /// triangles by "process time" (the smallest processing rank among their
 /// edges); the *last* `κ(e)` of them are in the core.
 ///
+/// `ranks` may come from any order non-decreasing in κ, not only a peel
+/// order: a triangle whose three edges all have κ ≥ κ(e) has its process
+/// time inside the κ ≥ κ(e) block of the order, every other triangle has
+/// it before that block, and `e` has at least κ(e) triangles of the first
+/// kind. So the last κ(e) triangles by process time all lie in the
+/// κ ≥ κ(e) subgraph.
+///
 /// Returns the apexes `w` of those triangles (each identifies the triangle
 /// `{u, v, w}` on the edge `e = {u, v}`).
 pub fn core_triangles_of_edge(
@@ -195,7 +184,8 @@ pub fn core_triangles_of_edge(
 }
 
 /// Runs Algorithm 1 on `g`: every live edge's maximum Triangle K-Core
-/// number, plus the processing order.
+/// number, plus the processing order. Single-threaded
+/// [`triangle_kcore_decomposition_timed`].
 ///
 /// # Examples
 ///
@@ -210,41 +200,18 @@ pub fn core_triangles_of_edge(
 /// assert_eq!(d.max_kappa(), 3);
 /// ```
 pub fn triangle_kcore_decomposition(g: &Graph) -> Decomposition {
-    triangle_kcore_decomposition_with(g, 1)
+    triangle_kcore_decomposition_timed(g, 1).0
 }
 
-/// The initial support stage of Algorithm 1. Default: the oriented CSR
-/// snapshot kernel (each triangle enumerated once, wedge-balanced worker
-/// chunks when `threads > 1`). The `hash-supports` feature restores the
-/// seed's mutable-adjacency path as a differential-debugging fallback;
-/// both produce bit-identical support vectors (counts are exact integers).
-fn initial_supports(g: &Graph, threads: usize) -> Vec<u32> {
-    #[cfg(feature = "hash-supports")]
-    {
-        let _ = threads;
-        edge_supports(g)
-    }
-    #[cfg(not(feature = "hash-supports"))]
-    {
-        if threads == 1 || !tkc_graph::parallel::should_parallelize(g, threads) {
-            tkc_graph::csr::edge_supports_csr(g)
-        } else {
-            tkc_graph::csr::edge_supports_csr_parallel(g, threads)
-        }
-    }
-}
-
-/// Wall-clock split of one Algorithm 1 run: CSR freeze, initial support
-/// counting, and the sequential peel. `freeze` is zero under the
-/// `hash-supports` feature (that path has no snapshot stage).
+/// Wall-clock split of one Algorithm 1 run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// Building the oriented CSR snapshot.
     pub freeze: Duration,
-    /// Counting initial per-edge supports (the parallelized stage).
+    /// The enumeration pass that fixes every edge's support (collecting
+    /// the triangles, or counting supports past the memory gate).
     pub supports: Duration,
-    /// The peel: the sequential bucket loop, or — on the level-sync path
-    /// — building the full-adjacency view plus the frontier rounds.
+    /// Building the triangle lookup plus the frontier rounds.
     pub peel: Duration,
 }
 
@@ -255,48 +222,30 @@ impl PhaseTimings {
     }
 }
 
-/// [`triangle_kcore_decomposition_with`] plus per-phase wall-clock
-/// timings, recorded into the global [`tkc_obs`] registry as
-/// `tkc_decompose_phase_seconds{phase=...}` (unless
-/// [`tkc_obs::kernel_instrumentation_enabled`] is off). Backs
-/// `tkc decompose --timings` and `bench_snapshot`'s phase attribution.
+/// The in-memory decomposition, on `threads` workers (`0` = available
+/// parallelism): freeze the CSR snapshot, run the fused collect-or-bail
+/// support pass, then the level-synchronous frontier rounds
+/// ([`crate::peel_parallel`]). κ, order, and max κ are identical for
+/// every thread count.
+///
+/// Returns per-phase wall-clock timings too, recorded into the global
+/// [`tkc_obs`] registry as `tkc_decompose_phase_seconds{phase=...}`
+/// (unless [`tkc_obs::kernel_instrumentation_enabled`] is off) and, when
+/// span tracing is on, as `freeze`/`supports`/`peel` spans under the
+/// current span.
 pub fn triangle_kcore_decomposition_timed(
     g: &Graph,
     threads: usize,
 ) -> (Decomposition, PhaseTimings) {
-    let mut timings = PhaseTimings::default();
-    let sup;
-    #[cfg(feature = "hash-supports")]
-    {
-        let _ = threads;
-        let t0 = Instant::now();
-        sup = edge_supports(g);
-        timings.supports = t0.elapsed();
-    }
-    #[cfg(not(feature = "hash-supports"))]
-    {
-        // Level-sync path: the parallel peel times its own phases (its
-        // `peel` covers building the full-adjacency view plus the
-        // frontier rounds, so `tkc_decompose_phase_seconds{phase="peel"}`
-        // stays an honest end-to-end attribution).
-        if crate::peel_parallel::should_peel_parallel(g, threads) {
-            let (decomp, timings) =
-                crate::peel_parallel::triangle_kcore_decomposition_parallel_timed(g, threads);
-            if tkc_obs::kernel_instrumentation_enabled() {
-                record_phase_timings(&timings);
-            }
-            return (decomp, timings);
-        }
-        let t0 = Instant::now();
-        let csr = tkc_graph::csr::CsrGraph::freeze(g);
-        timings.freeze = t0.elapsed();
-        let t1 = Instant::now();
-        sup = csr.edge_supports();
-        timings.supports = t1.elapsed();
-    }
-    let t2 = Instant::now();
-    let decomp = peel_with_supports(g, sup);
-    timings.peel = t2.elapsed();
+    let t0 = Instant::now();
+    let csr = Arc::new(CsrGraph::freeze(g));
+    let freeze = t0.elapsed();
+    let (decomp, supports, peel) = crate::peel_parallel::level_sync_from_csr(&csr, threads);
+    let timings = PhaseTimings {
+        freeze,
+        supports,
+        peel,
+    };
     if tkc_obs::kernel_instrumentation_enabled() {
         record_phase_timings(&timings);
     }
@@ -336,276 +285,34 @@ fn record_phase_timings(t: &PhaseTimings) {
     .record_duration(t.peel);
 }
 
-/// [`triangle_kcore_decomposition`] with a thread count (`0` = available
-/// parallelism). κ, order, and max κ are identical for every thread
-/// count.
-///
-/// When parallelism is requested and the graph clears the wedge-work
-/// spawn floor, the whole run goes level-synchronous
-/// ([`crate::peel_parallel`]): parallel supports *and* a frontier-round
-/// peel, instead of parallel supports feeding the sequential bucket
-/// peel. Otherwise the seed path below runs unchanged — it remains the
-/// reference implementation the level-sync path is differentially
-/// checked against.
-pub fn triangle_kcore_decomposition_with(g: &Graph, threads: usize) -> Decomposition {
-    #[cfg(not(feature = "hash-supports"))]
-    if crate::peel_parallel::should_peel_parallel(g, threads) {
-        return crate::peel_parallel::decompose_level_sync(g, threads);
-    }
-    peel_with_supports(g, initial_supports(g, threads))
-}
-
-/// The peel loop of Algorithm 1 (steps 7–17) given precomputed initial
-/// supports. Shared by the plain and timed entry points.
-fn peel_with_supports(g: &Graph, mut sup: Vec<u32>) -> Decomposition {
-    let bound = g.edge_bound();
-    let m = g.num_edges();
-    let mut kappa = vec![0u32; bound];
-    if m == 0 {
-        return Decomposition {
-            kappa,
-            order: Vec::new(),
-            max_kappa: 0,
-        };
-    }
-
-    // Counting sort of live edges by support (paper step 7).
-    let max_sup = g.edge_ids().map(|e| sup[e.index()]).max().unwrap_or(0) as usize;
-    let mut bin = vec![0usize; max_sup + 2];
-    for e in g.edge_ids() {
-        bin[sup[e.index()] as usize] += 1;
-    }
-    let mut start = 0usize;
-    for b in bin.iter_mut() {
-        let count = *b;
-        *b = start;
-        start += count;
-    }
-    let mut sorted: Vec<EdgeId> = vec![EdgeId(0); m];
-    let mut pos = vec![usize::MAX; bound];
-    {
-        let mut cursor = bin.clone();
-        for e in g.edge_ids() {
-            let s = sup[e.index()] as usize;
-            pos[e.index()] = cursor[s];
-            sorted[cursor[s]] = e;
-            cursor[s] += 1;
-        }
-    }
-
-    let mut processed = vec![false; bound];
-    let mut max_kappa = 0u32;
-
-    for i in 0..m {
-        let e = sorted[i];
-        let k = sup[e.index()];
-        #[cfg(feature = "check-invariants")]
-        {
-            // analyze: invariant(verify_decomposition)
-            debug_assert!(
-                !processed[e.index()],
-                "processing-order violation: edge {} popped twice",
-                e.index()
-            );
-            // analyze: invariant(verify_decomposition)
-            debug_assert!(
-                k >= max_kappa,
-                "bucket-queue monotonicity violation: popped support {k} \
-                 below current level {max_kappa}"
-            );
-            debug_assert_eq!(
-                pos[e.index()],
-                i,
-                "bucket position table out of sync at pop"
-            );
-        }
-        kappa[e.index()] = k;
-        max_kappa = max_kappa.max(k);
-        processed[e.index()] = true;
-        // Advance the bucket cursor for value k past this element so later
-        // decrements into bucket k land after position i.
-        bin[k as usize] = i + 1;
-        // Steps 10-17: every *unprocessed* triangle on e (both other edges
-        // unprocessed) may no longer support a higher core for its other
-        // edges; decrement their upper bounds.
-        g.for_each_triangle_on_edge(e, |_, e1, e2| {
-            if processed[e1.index()] || processed[e2.index()] {
-                return; // triangle already processed (step 17)
-            }
-            for x in [e1, e2] {
-                let sx = sup[x.index()];
-                if sx > k {
-                    // O(1) re-sort: swap x with the first element of its
-                    // bucket, advance the bucket start, decrement.
-                    let px = pos[x.index()];
-                    let pw = bin[sx as usize];
-                    let w = sorted[pw];
-                    #[cfg(feature = "check-invariants")]
-                    {
-                        debug_assert_eq!(
-                            sorted[px], x,
-                            "bucket position table out of sync before swap"
-                        );
-                        debug_assert!(pw > i, "bucket start points at an already-processed slot");
-                    }
-                    if x != w {
-                        sorted[px] = w;
-                        sorted[pw] = x;
-                        pos[w.index()] = px;
-                        pos[x.index()] = pw;
-                    }
-                    bin[sx as usize] += 1;
-                    sup[x.index()] = sx - 1;
-                    #[cfg(feature = "check-invariants")]
-                    // analyze: invariant(check_support_kernels)
-                    debug_assert!(
-                        sup[x.index()] >= k,
-                        "support of edge {} decremented below current level {k}",
-                        x.index()
-                    );
-                }
-            }
-        });
-    }
-
-    Decomposition {
-        kappa,
-        order: sorted,
-        max_kappa,
-    }
-}
-
-/// Algorithm 1 with **stored triangles** (the paper's §IV-A tradeoff): all
-/// triangles are materialized once up front and the peel walks per-edge
-/// triangle lists instead of re-intersecting adjacency lists. Faster for
-/// graphs whose triangle lists fit in memory; `triangle_kcore_decomposition`
-/// is the memory-lean variant the paper recommends for the largest graphs.
-pub fn triangle_kcore_decomposition_stored(g: &Graph) -> Decomposition {
-    let bound = g.edge_bound();
-    let m = g.num_edges();
-    if m == 0 {
-        return Decomposition {
-            kappa: vec![0; bound],
-            order: Vec::new(),
-            max_kappa: 0,
-        };
-    }
-
-    // Materialize triangles: per-edge offsets into a flat (e1, e2) array.
-    let mut counts = vec![0u32; bound];
-    tkc_graph::triangles::for_each_triangle(g, |t| {
-        for e in t.edges {
-            counts[e.index()] += 1;
-        }
-    });
-    let mut offset = vec![0usize; bound + 1];
-    for i in 0..bound {
-        offset[i + 1] = offset[i] + counts[i] as usize;
-    }
-    let total = offset[bound];
-    let mut flat: Vec<(EdgeId, EdgeId)> = vec![(EdgeId(0), EdgeId(0)); total];
-    let mut cursor = offset.clone();
-    tkc_graph::triangles::for_each_triangle(g, |t| {
-        for (i, &e) in t.edges.iter().enumerate() {
-            let (a, b) = match i {
-                0 => (t.edges[1], t.edges[2]),
-                1 => (t.edges[0], t.edges[2]),
-                _ => (t.edges[0], t.edges[1]),
-            };
-            flat[cursor[e.index()]] = (a, b);
-            cursor[e.index()] += 1;
-        }
-    });
-
-    let mut sup = counts;
-    let mut kappa = vec![0u32; bound];
-    let max_sup = g.edge_ids().map(|e| sup[e.index()]).max().unwrap_or(0) as usize;
-    let mut bin = vec![0usize; max_sup + 2];
-    for e in g.edge_ids() {
-        bin[sup[e.index()] as usize] += 1;
-    }
-    let mut start = 0usize;
-    for b in bin.iter_mut() {
-        let count = *b;
-        *b = start;
-        start += count;
-    }
-    let mut sorted: Vec<EdgeId> = vec![EdgeId(0); m];
-    let mut pos = vec![usize::MAX; bound];
-    {
-        let mut c = bin.clone();
-        for e in g.edge_ids() {
-            let s = sup[e.index()] as usize;
-            pos[e.index()] = c[s];
-            sorted[c[s]] = e;
-            c[s] += 1;
-        }
-    }
-
-    let mut processed = vec![false; bound];
-    let mut max_kappa = 0u32;
-    for i in 0..m {
-        let e = sorted[i];
-        let k = sup[e.index()];
-        kappa[e.index()] = k;
-        max_kappa = max_kappa.max(k);
-        processed[e.index()] = true;
-        bin[k as usize] = i + 1;
-        for &(e1, e2) in &flat[offset[e.index()]..offset[e.index() + 1]] {
-            if processed[e1.index()] || processed[e2.index()] {
-                continue;
-            }
-            for x in [e1, e2] {
-                let sx = sup[x.index()];
-                if sx > k {
-                    let px = pos[x.index()];
-                    let pw = bin[sx as usize];
-                    let w = sorted[pw];
-                    if x != w {
-                        sorted[px] = w;
-                        sorted[pw] = x;
-                        pos[w.index()] = px;
-                        pos[x.index()] = pw;
-                    }
-                    bin[sx as usize] += 1;
-                    sup[x.index()] = sx - 1;
-                }
-            }
-        }
-    }
-
-    Decomposition {
-        kappa,
-        order: sorted,
-        max_kappa,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
+    use crate::peel_parallel::{level_sync_forced, TriangleLookup};
+    use crate::reference::naive_kappa;
     use tkc_graph::{generators, VertexId};
 
     #[test]
     fn stored_variant_matches_streaming_variant() {
+        // Production peels over stored triangles on these sparse graphs;
+        // the forced merge lookup re-intersects adjacency instead. Both
+        // must match the definitional oracle, with one processing order.
+        let check = |g: &Graph, label: &str| {
+            let stored = triangle_kcore_decomposition(g);
+            let streaming = level_sync_forced(g, 1, TriangleLookup::Merge);
+            assert_eq!(stored, streaming, "{label}");
+            assert_eq!(stored.kappa_slice(), naive_kappa(g).as_slice(), "{label}");
+        };
         for seed in 0..6 {
-            let g = generators::gnp(40, 0.2, seed);
-            let a = triangle_kcore_decomposition(&g);
-            let b = triangle_kcore_decomposition_stored(&g);
-            for e in g.edge_ids() {
-                assert_eq!(a.kappa(e), b.kappa(e), "seed {seed}");
-            }
-            assert_eq!(a.max_kappa(), b.max_kappa());
+            check(&generators::gnp(40, 0.2, seed), &format!("gnp seed {seed}"));
         }
         // Also on a structured graph with dead edge slots.
         let mut g = generators::connected_caveman(4, 6);
         let dead = g.edge_between(VertexId(0), VertexId(1)).unwrap();
         g.remove_edge(dead).unwrap();
-        let a = triangle_kcore_decomposition(&g);
-        let b = triangle_kcore_decomposition_stored(&g);
-        assert_eq!(a.kappa_slice(), b.kappa_slice());
+        check(&g, "caveman with a dead slot");
     }
 
     fn kappa_of(g: &Graph, u: u32, v: u32, d: &Decomposition) -> u32 {
@@ -614,18 +321,21 @@ mod tests {
 
     #[test]
     fn compute_with_threads_is_invariant() {
-        // κ, processing order, and max κ must not depend on the support
-        // stage's thread count (or kernel: CSR vs hash is feature-gated,
-        // and both run under CI).
+        // κ, processing order, and max κ must not depend on the thread
+        // count — also on graphs big enough for rounds to fan out.
         for seed in 0..4 {
-            let g = generators::holme_kim(400, 3, 0.6, seed);
-            let base = triangle_kcore_decomposition(&g);
-            for threads in [0, 2, 4] {
-                let d = Decomposition::compute_with(&g, threads);
-                assert_eq!(d.kappa_slice(), base.kappa_slice(), "seed {seed}");
-                assert_eq!(d.max_kappa(), base.max_kappa());
+            for g in [
+                generators::holme_kim(400, 3, 0.6, seed),
+                generators::holme_kim(3_000, 3, 0.6, seed),
+            ] {
+                let base = triangle_kcore_decomposition(&g);
+                for threads in [0, 1, 2, 4] {
+                    let d = Decomposition::compute_with(&g, threads);
+                    assert_eq!(d.kappa_slice(), base.kappa_slice(), "seed {seed}");
+                    assert_eq!(d.order(), base.order(), "seed {seed}, {threads} threads");
+                    assert_eq!(d.max_kappa(), base.max_kappa());
+                }
             }
-            assert_eq!(Decomposition::compute(&g).kappa_slice(), base.kappa_slice());
         }
     }
 
@@ -633,10 +343,8 @@ mod tests {
     fn timed_variant_matches_and_reports_phases() {
         for threads in [1, 3] {
             let g = generators::holme_kim(300, 3, 0.5, 7);
-            let base = triangle_kcore_decomposition(&g);
             let (d, t) = triangle_kcore_decomposition_timed(&g, threads);
-            assert_eq!(d.kappa_slice(), base.kappa_slice());
-            assert_eq!(d.max_kappa(), base.max_kappa());
+            assert_eq!(d.kappa_slice(), naive_kappa(&g).as_slice());
             // The peel always runs; supports always run; totals add up.
             assert!(t.peel > Duration::ZERO);
             assert_eq!(t.total(), t.freeze + t.supports + t.peel);
@@ -654,9 +362,9 @@ mod tests {
         for e in victims {
             g.remove_edge(e).unwrap();
         }
-        let base = triangle_kcore_decomposition(&g);
         let par = Decomposition::compute_with(&g, 3);
-        assert_eq!(par.kappa_slice(), base.kappa_slice());
+        assert_eq!(par.kappa_slice(), naive_kappa(&g).as_slice());
+        assert_eq!(par, triangle_kcore_decomposition(&g));
     }
 
     #[test]
@@ -804,20 +512,24 @@ mod tests {
     fn rule_1_recovers_core_triangles() {
         // For every edge, the κ(e) triangles Rule 1 selects must each have
         // both other edges at κ >= κ(e) — i.e., they are a valid witness
-        // for the maximum core (Theorem 1).
+        // for the maximum core (Theorem 1). Any order non-decreasing in κ
+        // will do, so the synthesized `from_kappa` order must work too.
         for seed in 0..6 {
             let g = generators::gnp(20, 0.3, seed);
-            let d = triangle_kcore_decomposition(&g);
-            let ranks = d.ranks();
-            for e in g.edge_ids() {
-                let (u, v) = g.endpoints(e);
-                let apexes = core_triangles_of_edge(&g, &d, &ranks, e);
-                assert_eq!(apexes.len(), d.kappa(e) as usize, "seed {seed}");
-                for w in apexes {
-                    let e1 = g.edge_between(u, w).unwrap();
-                    let e2 = g.edge_between(v, w).unwrap();
-                    assert!(d.kappa(e1) >= d.kappa(e), "rule 1 witness violated");
-                    assert!(d.kappa(e2) >= d.kappa(e), "rule 1 witness violated");
+            let peeled = triangle_kcore_decomposition(&g);
+            let synthesized = Decomposition::from_kappa(&g, peeled.kappa_slice().to_vec());
+            for d in [&peeled, &synthesized] {
+                let ranks = d.ranks();
+                for e in g.edge_ids() {
+                    let (u, v) = g.endpoints(e);
+                    let apexes = core_triangles_of_edge(&g, d, &ranks, e);
+                    assert_eq!(apexes.len(), d.kappa(e) as usize, "seed {seed}");
+                    for w in apexes {
+                        let e1 = g.edge_between(u, w).unwrap();
+                        let e2 = g.edge_between(v, w).unwrap();
+                        assert!(d.kappa(e1) >= d.kappa(e), "rule 1 witness violated");
+                        assert!(d.kappa(e2) >= d.kappa(e), "rule 1 witness violated");
+                    }
                 }
             }
         }

@@ -37,9 +37,12 @@ impl Core {
 
 /// All maximal Triangle K-Cores of number ≥ `k` (for `k ≥ 1`): the
 /// triangle-connected components of edges with `κ ≥ k` (Claim 2), in
-/// order of their smallest edge id.
+/// order of their smallest edge id. Empty, without a scan, above max κ.
 pub fn cores_at_level(g: &Graph, decomp: &Decomposition, k: u32) -> Vec<Core> {
     assert!(k >= 1, "level-0 cores are the whole graph");
+    if k > decomp.max_kappa() {
+        return Vec::new();
+    }
     TriangleComponents::new(g, |e| decomp.kappa(e) >= k)
         .members_with_vertices()
         .into_iter()
@@ -53,9 +56,13 @@ pub fn cores_at_level(g: &Graph, decomp: &Decomposition, k: u32) -> Vec<Core> {
 
 /// The counts of [`cores_at_level`] — cores, their edges, the sum of
 /// their vertex counts — plus the kept edges and triangles the pass
-/// enumerated, from the same kernel but with no [`Core`] built.
+/// enumerated, from the same kernel but with no [`Core`] built. All
+/// zero, without a scan, above max κ.
 pub fn summary_at_level(g: &Graph, decomp: &Decomposition, k: u32) -> ComponentSummary {
     assert!(k >= 1, "level-0 cores are the whole graph");
+    if k > decomp.max_kappa() {
+        return ComponentSummary::default();
+    }
     TriangleComponents::new(g, |e| decomp.kappa(e) >= k).summary()
 }
 
@@ -205,6 +212,10 @@ mod tests {
         for core in lvl2.iter().chain(&lvl3) {
             assert!(is_triangle_kcore(&g, &core.edges, core.level));
         }
+        // Above max κ both entry points answer empty.
+        assert_eq!(d.max_kappa(), 3);
+        assert!(cores_at_level(&g, &d, 4).is_empty());
+        assert_eq!(summary_at_level(&g, &d, 4), ComponentSummary::default());
     }
 
     #[test]

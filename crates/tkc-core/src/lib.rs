@@ -3,14 +3,14 @@
 //! The primary contribution of *"Extracting Analyzing and Visualizing
 //! Triangle K-Core Motifs within Networks"* (ICDE 2012):
 //!
-//! * [`decompose`] — Algorithm 1: κ(e) for every edge via bucket peeling,
-//!   linear in the number of triangles;
+//! * [`decompose`] — Algorithm 1: κ(e) for every edge, one entry point
+//!   at every thread count, linear in the number of triangles;
 //! * [`dynamic`] — Algorithms 2/5/6/7: incremental κ maintenance under
 //!   edge insertions and deletions;
 //! * [`extract`] — materializing maximum Triangle K-Cores, level sets,
 //!   hierarchies, and exact cliques;
-//! * [`peel_parallel`] — the level-synchronous parallel peel behind
-//!   [`decompose::Decomposition::compute_with`];
+//! * [`peel_parallel`] — the level-synchronous peel behind every
+//!   [`decompose`] entry point;
 //! * [`kcore`] — the classic vertex K-Core (\[21\]) the motif generalizes;
 //! * [`ooc`] — the out-of-core stratum peel over a packed `tkc-store`
 //!   file, for graphs larger than memory;

@@ -1,10 +1,13 @@
-//! Level-synchronous parallel peel: Algorithm 1 by **frontier rounds**
-//! instead of one-edge-at-a-time bucket pops.
+//! Level-synchronous peel: Algorithm 1 by **frontier rounds** instead of
+//! one-edge-at-a-time bucket pops. This is the only in-memory
+//! decomposition; it runs at every thread count, behind
+//! [`crate::decompose::triangle_kcore_decomposition_timed`].
 //!
-//! The seed peel ([`crate::decompose::triangle_kcore_decomposition`]) is
-//! inherently sequential — every pop depends on every earlier decrement
-//! through the bucket queue. This module replaces that dependency chain
-//! with the PKT-style schedule used by parallel truss decomposition:
+//! The paper's bucket peel (kept as the `tkc-verify` bucket-peel oracle)
+//! is inherently sequential — every pop depends on every earlier
+//! decrement through the bucket queue. This module replaces that
+//! dependency chain with the PKT-style schedule used by parallel truss
+//! decomposition:
 //!
 //! 1. **Harvest** the whole frontier: every unpeeled edge whose support
 //!    equals the current minimum (`level`).
@@ -31,7 +34,7 @@
 //!   adapted to the peel: per-edge flat lists of `(other, other)` edge
 //!   pairs, materialized in one oriented enumeration pass. List lengths
 //!   are exactly the initial supports, so the offsets are a prefix sum
-//!   of the support vector the caller already computed. A round then
+//!   of the support vector that same pass yields. A round then
 //!   walks flat pairs — total peel work is exactly `3·|Tri|` visits,
 //!   with no adjacency re-intersection at all.
 //! * [`tkc_graph::peel_csr::PeelCsr`] — the merge fallback when storing
@@ -64,14 +67,14 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use tkc_graph::csr::CsrGraph;
 use tkc_graph::peel_csr::PeelCsr;
 use tkc_graph::pool::resolve_threads;
 use tkc_graph::{EdgeId, Graph, WorkerPool};
 
-use crate::decompose::{Decomposition, PhaseTimings};
+use crate::decompose::Decomposition;
 
 /// Mark value: edge not yet peeled (workers may decrement its support).
 const UNPEELED: u8 = 0;
@@ -104,42 +107,74 @@ pub enum TriangleLookup {
     Merge,
 }
 
-/// The routing rule [`Decomposition::compute_with`] uses: go level-sync
-/// when the caller asked for parallelism and the graph's wedge work
-/// clears the same spawn floor as the support kernels.
-pub(crate) fn should_peel_parallel(g: &Graph, threads: usize) -> bool {
-    tkc_graph::parallel::should_parallelize(g, threads)
-}
-
-/// Production entry behind [`Decomposition::compute_with`]: freeze once,
-/// then run the fused level-sync pipeline (see [`level_sync_from_csr`]).
-pub(crate) fn decompose_level_sync(g: &Graph, threads: usize) -> Decomposition {
-    let csr = Arc::new(CsrGraph::freeze(g));
-    level_sync_from_csr(&csr, threads).0
-}
-
-/// The fused production pipeline: **one** oriented enumeration pass
-/// either collects every triangle (stored path — supports then fall out
-/// of the collected list for free, instead of a second enumeration) or
-/// bails at the memory cap, in which case supports are counted the
-/// classic way and the rounds run over adjacency merges. Returns the
-/// decomposition plus the (supports, peel) wall-clock split: `supports`
-/// is the enumeration that determines every edge's support; `peel` is
-/// everything after (store scatter / [`PeelCsr`] build, plus the rounds).
-fn level_sync_from_csr(
+/// The production pipeline behind
+/// [`crate::decompose::triangle_kcore_decomposition_timed`], given the
+/// frozen snapshot: chunks capped at the pool size, small rounds inline,
+/// lookup chosen by the memory gate. Returns the decomposition plus the
+/// (supports, peel) wall-clock split.
+pub(crate) fn level_sync_from_csr(
     csr: &Arc<CsrGraph>,
     threads: usize,
-) -> (Decomposition, std::time::Duration, std::time::Duration) {
+) -> (Decomposition, Duration, Duration) {
     let chunks = WorkerPool::global().concurrency_cap(threads);
-    let cap = (TRIANGLE_STORE_MAX_ENTRIES_PER_EDGE * csr.num_edges() as u64 / 3) as usize;
+    level_sync(
+        csr,
+        threads,
+        chunks,
+        PARALLEL_PEEL_ROUND_FLOOR,
+        TriangleLookup::Auto,
+    )
+}
+
+/// Test hook: the level-sync peel with `chunks` taken verbatim (`0` =
+/// available parallelism; not capped at the pool size), every
+/// multi-chunk round fanned out to the pool, and the triangle lookup
+/// forced, so `tkc-verify` and the property tests reach the multi-chunk
+/// merge and both lookups on any machine and graph. κ, order and max κ
+/// are bit-identical to [`Decomposition::compute_with`] for every
+/// argument.
+#[doc(hidden)]
+pub fn level_sync_forced(g: &Graph, chunks: usize, lookup: TriangleLookup) -> Decomposition {
+    let csr = Arc::new(CsrGraph::freeze(g));
+    let chunks = resolve_threads(chunks);
+    level_sync(&csr, chunks, chunks, 0, lookup).0
+}
+
+/// The fused pipeline: **one** oriented enumeration pass either collects
+/// every triangle (stored path — supports then fall out of the collected
+/// list for free, instead of a second enumeration) or bails at the
+/// memory cap, in which case supports are counted the classic way on
+/// `threads` workers and the rounds run over adjacency merges. `chunks`
+/// is the fan-out per round (1 = fully inline); `round_floor` is the
+/// work threshold below which a round runs inline regardless (0 forces
+/// the pooled path). Output is bit-identical for every `(threads,
+/// chunks, round_floor, lookup)`. The two durations are `supports` (the
+/// enumeration that determines every edge's support) and `peel`
+/// (everything after: store scatter or [`PeelCsr`] build, plus the
+/// rounds).
+fn level_sync(
+    csr: &Arc<CsrGraph>,
+    threads: usize,
+    chunks: usize,
+    round_floor: u64,
+    lookup: TriangleLookup,
+) -> (Decomposition, Duration, Duration) {
     let t_sup = Instant::now();
-    if let Some(tris) = collect_triangles(csr, cap) {
+    let tris = match lookup {
+        TriangleLookup::Auto => {
+            let cap = TRIANGLE_STORE_MAX_ENTRIES_PER_EDGE * csr.num_edges() as u64 / 3;
+            collect_triangles(csr, cap as usize)
+        }
+        TriangleLookup::Stored => collect_triangles(csr, usize::MAX),
+        TriangleLookup::Merge => None,
+    };
+    if let Some(tris) = tris {
         let supports_elapsed = t_sup.elapsed();
         let t_peel = Instant::now();
         let (src, sup) = TriangleStore::from_triples(csr.edge_bound(), &tris);
         drop(tris);
         let remaining = live_edges(csr);
-        let d = peel_rounds(src, remaining, sup, chunks, PARALLEL_PEEL_ROUND_FLOOR);
+        let d = peel_rounds(src, remaining, sup, chunks, round_floor);
         (d, supports_elapsed, t_peel.elapsed())
     } else {
         let sup = csr.edge_supports_parallel(threads);
@@ -147,102 +182,8 @@ fn level_sync_from_csr(
         let t_peel = Instant::now();
         let src = PeelCsr::build(csr);
         let remaining = src.live_edges().to_vec();
-        let d = peel_rounds(src, remaining, sup, chunks, PARALLEL_PEEL_ROUND_FLOOR);
+        let d = peel_rounds(src, remaining, sup, chunks, round_floor);
         (d, supports_elapsed, t_peel.elapsed())
-    }
-}
-
-/// Forced level-synchronous decomposition for differential testing: the
-/// chunk count is taken from `threads` verbatim (not capped at the pool
-/// size) and every round with more than one chunk fans out, so the
-/// multi-chunk merge path is exercised even on machines with fewer cores
-/// than the request. κ, order, and max κ must be — and are checked by
-/// `tkc-verify` to be — bit-identical to the sequential peel at every
-/// thread count.
-pub fn triangle_kcore_decomposition_parallel(g: &Graph, threads: usize) -> Decomposition {
-    let csr = Arc::new(CsrGraph::freeze(g));
-    let sup = csr.edge_supports();
-    peel_csr_parallel_with(&csr, sup, resolve_threads(threads), 0, TriangleLookup::Auto)
-}
-
-/// [`triangle_kcore_decomposition_parallel`] with an explicit lookup
-/// structure, so differential suites gate *both* the stored-triangle
-/// path and the merge fallback on graphs where Auto would only ever pick
-/// one of them.
-pub fn triangle_kcore_decomposition_parallel_lookup(
-    g: &Graph,
-    threads: usize,
-    lookup: TriangleLookup,
-) -> Decomposition {
-    let csr = Arc::new(CsrGraph::freeze(g));
-    let sup = csr.edge_supports();
-    peel_csr_parallel_with(&csr, sup, resolve_threads(threads), 0, lookup)
-}
-
-/// [`triangle_kcore_decomposition_parallel`] with the production chunk
-/// cap and round floor, plus per-phase wall clock (freeze / supports /
-/// peel, where `peel` includes building the triangle lookup structure).
-/// Backs the `decompose_csr_parallel` rows of `bench_snapshot`.
-pub fn triangle_kcore_decomposition_parallel_timed(
-    g: &Graph,
-    threads: usize,
-) -> (Decomposition, PhaseTimings) {
-    let mut timings = PhaseTimings::default();
-    let t0 = Instant::now();
-    let csr = Arc::new(CsrGraph::freeze(g));
-    timings.freeze = t0.elapsed();
-    let (decomp, supports, peel) = level_sync_from_csr(&csr, threads);
-    timings.supports = supports;
-    timings.peel = peel;
-    (decomp, timings)
-}
-
-/// The level-synchronous peel, given a frozen snapshot and its initial
-/// supports. `chunks` is the fan-out per round (1 = fully inline);
-/// `round_floor` is the work threshold below which a round runs inline
-/// regardless (pass 0 to force the pooled path for testing). Output is
-/// bit-identical for every `(chunks, round_floor)` combination.
-pub fn peel_csr_parallel(
-    csr: &CsrGraph,
-    sup: Vec<u32>,
-    chunks: usize,
-    round_floor: u64,
-) -> Decomposition {
-    peel_csr_parallel_with(csr, sup, chunks, round_floor, TriangleLookup::Auto)
-}
-
-/// [`peel_csr_parallel`] with an explicit [`TriangleLookup`] choice.
-pub fn peel_csr_parallel_with(
-    csr: &CsrGraph,
-    sup: Vec<u32>,
-    chunks: usize,
-    round_floor: u64,
-    lookup: TriangleLookup,
-) -> Decomposition {
-    let m = csr.num_edges();
-    if m == 0 {
-        return Decomposition::from_parts(vec![0u32; csr.edge_bound()], Vec::new(), 0);
-    }
-    let store = match lookup {
-        TriangleLookup::Stored => true,
-        TriangleLookup::Merge => false,
-        TriangleLookup::Auto => {
-            let entries: u64 = sup.iter().map(|&s| u64::from(s)).sum();
-            entries <= TRIANGLE_STORE_MAX_ENTRIES_PER_EDGE * m as u64
-        }
-    };
-    if store {
-        let tris = collect_triangles(csr, usize::MAX).unwrap_or_default();
-        // The derived supports are bit-identical to the caller's (both
-        // count the same oriented enumeration); the store's offsets must
-        // come from the true counts, so use the derived vector throughout.
-        let (src, sup) = TriangleStore::from_triples(sup.len(), &tris);
-        let remaining = live_edges(csr);
-        peel_rounds(src, remaining, sup, chunks, round_floor)
-    } else {
-        let src = PeelCsr::build(csr);
-        let remaining = src.live_edges().to_vec();
-        peel_rounds(src, remaining, sup, chunks, round_floor)
     }
 }
 
@@ -609,25 +550,27 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
-    use crate::decompose::triangle_kcore_decomposition;
+    use crate::decompose::triangle_kcore_decomposition_timed;
+    use crate::reference::naive_kappa;
     use tkc_graph::{generators, VertexId};
 
+    /// Every (chunks, lookup) configuration reproduces the definitional
+    /// oracle's κ and the 1-chunk run's processing order.
     fn assert_matches_sequential(g: &Graph, label: &str) {
-        let seq = triangle_kcore_decomposition(g);
+        let want = naive_kappa(g);
+        let base = level_sync_forced(g, 1, TriangleLookup::Auto);
+        assert_eq!(base.kappa_slice(), want.as_slice(), "{label}: κ mismatch");
         for threads in [1usize, 2, 4, 8] {
             for lookup in [
                 TriangleLookup::Auto,
                 TriangleLookup::Stored,
                 TriangleLookup::Merge,
             ] {
-                let par = triangle_kcore_decomposition_parallel_lookup(g, threads, lookup);
+                let par = level_sync_forced(g, threads, lookup);
                 assert_eq!(
-                    par.kappa_slice(),
-                    seq.kappa_slice(),
-                    "{label}: κ mismatch at {threads} chunks via {lookup:?}"
+                    par, base,
+                    "{label}: diverged at {threads} chunks via {lookup:?}"
                 );
-                assert_eq!(par.max_kappa(), seq.max_kappa(), "{label} ({lookup:?})");
-                assert_eq!(par.order().len(), seq.order().len(), "{label} ({lookup:?})");
             }
         }
     }
@@ -659,10 +602,10 @@ mod tests {
     #[test]
     fn order_is_identical_across_chunk_counts_and_lookups() {
         let g = generators::holme_kim(250, 3, 0.5, 3);
-        let base = triangle_kcore_decomposition_parallel(&g, 1);
+        let base = level_sync_forced(&g, 1, TriangleLookup::Auto);
         for threads in [2usize, 3, 8] {
             for lookup in [TriangleLookup::Stored, TriangleLookup::Merge] {
-                let d = triangle_kcore_decomposition_parallel_lookup(&g, threads, lookup);
+                let d = level_sync_forced(&g, threads, lookup);
                 assert_eq!(d.order(), base.order(), "{threads} chunks via {lookup:?}");
             }
         }
@@ -693,25 +636,25 @@ mod tests {
 
     #[test]
     fn production_routing_uses_level_sync_and_matches() {
-        // Big enough to clear the wedge-work spawn floor, so
-        // compute_with(.., 4) actually takes the level-sync path.
+        // Every thread count runs the same body, so the production entry
+        // points and the forced hook agree on κ *and* order.
         let g = generators::holme_kim(800, 4, 0.7, 11);
-        assert!(should_peel_parallel(&g, 4));
-        let seq = triangle_kcore_decomposition(&g);
-        let via_compute = Decomposition::compute_with(&g, 4);
-        assert_eq!(via_compute.kappa_slice(), seq.kappa_slice());
-        let direct = decompose_level_sync(&g, 4);
-        assert_eq!(direct.kappa_slice(), seq.kappa_slice());
+        let want = naive_kappa(&g);
+        let forced = level_sync_forced(&g, 4, TriangleLookup::Auto);
+        for threads in [1, 4] {
+            let via_compute = Decomposition::compute_with(&g, threads);
+            assert_eq!(via_compute.kappa_slice(), want.as_slice());
+            assert_eq!(via_compute, forced, "{threads} threads");
+        }
     }
 
     #[test]
     fn timed_variant_matches_and_fills_phases() {
         let g = generators::holme_kim(400, 3, 0.6, 13);
-        let seq = triangle_kcore_decomposition(&g);
-        let (d, t) = triangle_kcore_decomposition_parallel_timed(&g, 4);
-        assert_eq!(d.kappa_slice(), seq.kappa_slice());
-        assert!(t.peel > std::time::Duration::ZERO);
-        assert!(t.supports > std::time::Duration::ZERO);
+        let (d, t) = triangle_kcore_decomposition_timed(&g, 4);
+        assert_eq!(d.kappa_slice(), naive_kappa(&g).as_slice());
+        assert!(t.peel > Duration::ZERO);
+        assert!(t.supports > Duration::ZERO);
         assert_eq!(t.total(), t.freeze + t.supports + t.peel);
     }
 
@@ -722,10 +665,9 @@ mod tests {
         // determinism contract.
         let g = generators::planted_partition(4, 8, 0.8, 0.1, 4);
         let csr = Arc::new(CsrGraph::freeze(&g));
-        let sup = csr.edge_supports();
         for lookup in [TriangleLookup::Stored, TriangleLookup::Merge] {
-            let pooled = peel_csr_parallel_with(&csr, sup.clone(), 4, 0, lookup);
-            let inline = peel_csr_parallel_with(&csr, sup.clone(), 4, u64::MAX, lookup);
+            let pooled = level_sync(&csr, 4, 4, 0, lookup).0;
+            let inline = level_sync(&csr, 4, 4, u64::MAX, lookup).0;
             assert_eq!(pooled, inline, "{lookup:?}");
         }
     }

@@ -3,8 +3,9 @@
 //! Hard edge cases and failure injection for the core algorithms:
 //! degenerate graphs, adversarial shapes, id churn, and misuse handling.
 
-use tkc_core::decompose::{triangle_kcore_decomposition, triangle_kcore_decomposition_stored};
+use tkc_core::decompose::triangle_kcore_decomposition;
 use tkc_core::dynamic::{BatchOp, DynamicTriangleKCore};
+use tkc_core::peel_parallel::{level_sync_forced, TriangleLookup};
 use tkc_core::reference::naive_kappa;
 use tkc_graph::{generators, Graph, GraphError, VertexId};
 
@@ -159,10 +160,13 @@ fn stored_variant_agrees_on_adversarial_shapes() {
         generators::watts_strogatz(60, 3, 0.2, 4),
         generators::connected_caveman(5, 5),
     ] {
-        assert_eq!(
-            triangle_kcore_decomposition(&g).kappa_slice(),
-            triangle_kcore_decomposition_stored(&g).kappa_slice()
-        );
+        // Stored-triangle lists vs adjacency re-intersection, both held
+        // to the definitional oracle.
+        let stored = level_sync_forced(&g, 1, TriangleLookup::Stored);
+        let streaming = level_sync_forced(&g, 1, TriangleLookup::Merge);
+        assert_eq!(stored, streaming);
+        assert_eq!(stored.kappa_slice(), naive_kappa(&g).as_slice());
+        assert_eq!(stored, triangle_kcore_decomposition(&g));
     }
 }
 

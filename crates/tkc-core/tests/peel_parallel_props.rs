@@ -1,17 +1,17 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
-//! Property tests for the level-synchronous parallel peel
+//! Property tests for the level-synchronous peel
 //! ([`tkc_core::peel_parallel`]): for random graphs — including graphs
-//! with dead edge slots left by deletions — and every thread count 1–8,
-//! the parallel peel must reproduce the sequential bucket peel's κ
-//! vector and max κ bit-for-bit, and its processing order must satisfy
-//! the peel-order invariants (monotone κ, a permutation of the live
-//! edges) and be identical across every thread count and both triangle
-//! lookup strategies.
+//! with dead edge slots left by deletions — and every chunk count 1–8,
+//! the peel must reproduce the definitional oracle's κ vector and max κ
+//! bit-for-bit, and its processing order must satisfy the peel-order
+//! invariants (monotone κ, a permutation of the live edges) and be
+//! identical across every chunk count and both triangle lookup
+//! strategies.
 
 use proptest::prelude::*;
-use tkc_core::decompose::triangle_kcore_decomposition;
-use tkc_core::peel_parallel::{triangle_kcore_decomposition_parallel_lookup, TriangleLookup};
+use tkc_core::peel_parallel::{level_sync_forced, TriangleLookup};
+use tkc_core::reference::naive_kappa;
 use tkc_graph::{EdgeId, Graph, VertexId};
 
 /// Random graph with optional churn: build from random pairs, then
@@ -46,14 +46,15 @@ proptest! {
 
     #[test]
     fn parallel_kappa_is_bit_identical_to_sequential(g in churned_graph(16)) {
-        let seq = triangle_kcore_decomposition(&g);
+        let seq = naive_kappa(&g);
+        let seq_max = g.edge_ids().map(|e| seq[e.index()]).max().unwrap_or(0);
         for lookup in [TriangleLookup::Auto, TriangleLookup::Stored, TriangleLookup::Merge] {
             for threads in 1usize..=8 {
-                let par = triangle_kcore_decomposition_parallel_lookup(&g, threads, lookup);
-                prop_assert_eq!(par.max_kappa(), seq.max_kappa());
+                let par = level_sync_forced(&g, threads, lookup);
+                prop_assert_eq!(par.max_kappa(), seq_max);
                 for e in g.edge_ids() {
                     prop_assert_eq!(
-                        par.kappa(e), seq.kappa(e),
+                        par.kappa(e), seq[e.index()],
                         "κ diverged at {:?} ({:?}, {threads} threads)",
                         g.endpoints(e), lookup
                     );
@@ -64,7 +65,7 @@ proptest! {
 
     #[test]
     fn parallel_order_is_a_monotone_permutation_of_live_edges(g in churned_graph(16)) {
-        let par = triangle_kcore_decomposition_parallel_lookup(&g, 4, TriangleLookup::Auto);
+        let par = level_sync_forced(&g, 4, TriangleLookup::Auto);
         // Monotone: κ along the processing order never decreases — each
         // frontier batch is peeled at the current (non-decreasing) level.
         let ks: Vec<u32> = par.order().iter().map(|&e| par.kappa(e)).collect();
@@ -82,10 +83,10 @@ proptest! {
     #[test]
     fn parallel_order_is_identical_across_threads_and_lookups(g in churned_graph(14)) {
         let baseline =
-            triangle_kcore_decomposition_parallel_lookup(&g, 1, TriangleLookup::Stored);
+            level_sync_forced(&g, 1, TriangleLookup::Stored);
         for lookup in [TriangleLookup::Auto, TriangleLookup::Stored, TriangleLookup::Merge] {
             for threads in 1usize..=8 {
-                let par = triangle_kcore_decomposition_parallel_lookup(&g, threads, lookup);
+                let par = level_sync_forced(&g, threads, lookup);
                 prop_assert_eq!(
                     par.order(), baseline.order(),
                     "order diverged ({:?}, {threads} threads)", lookup

@@ -544,6 +544,16 @@ mod tests {
         assert_eq!(snap.edge_bound(), g.edge_bound());
         assert_eq!(snap.edge_supports(), triangles::edge_supports(&g));
         assert_eq!(snap.triangle_count(), triangles::triangle_count(&g));
+
+        // Past the work floor the pooled kernel must keep holes at zero too.
+        let mut g = generators::holme_kim(8000, 4, 0.6, 1);
+        let victim = g.edge_ids().next().unwrap();
+        g.remove_edge(victim).unwrap();
+        let snap = Arc::new(CsrGraph::freeze(&g));
+        assert!(snap.total_work() >= PARALLEL_CSR_WORK_MIN);
+        let par = snap.edge_supports_parallel(4);
+        assert_eq!(par[victim.index()], 0);
+        assert_eq!(par, triangles::edge_supports(&g));
     }
 
     #[test]

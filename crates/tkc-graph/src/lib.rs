@@ -38,7 +38,6 @@ pub mod generators;
 pub mod generators_ext;
 pub mod hash;
 pub mod io;
-pub mod parallel;
 pub mod peel_csr;
 pub mod pool;
 pub mod triangles;

@@ -295,51 +295,48 @@ pub fn check_support_kernels(g: &Graph) -> Result<(), Mismatch> {
     Ok(())
 }
 
-/// Cross-checks the level-synchronous parallel peel against the
-/// sequential bucket peel: for every thread count and both triangle
-/// lookup strategies the parallel path must reproduce the sequential κ
-/// vector and max κ bit-for-bit, and its processing order must be
-/// **identical across every (lookup, threads) configuration** —
-/// determinism is part of the parallel peel's contract. (The batch order
-/// legitimately differs from the one-at-a-time sequential pop order
-/// within a level, so order is compared parallel-vs-parallel.)
+/// Cross-checks the production level-synchronous peel against the
+/// bucket-peel oracle ([`crate::bucket`]): the production entry point and
+/// the forced peel at 1, 2, 4 and 8 chunks under both triangle lookups
+/// must reproduce the oracle's κ vector and max κ bit-for-bit, and every
+/// one of them must produce the **same processing order** — the order
+/// may not depend on the thread count or the lookup. (The batch order
+/// legitimately differs from the one-at-a-time bucket pop order within a
+/// level, so order is compared peel-vs-peel.)
 pub fn check_parallel_peel(g: &Graph) -> Result<(), Mismatch> {
-    use tkc_core::peel_parallel::{triangle_kcore_decomposition_parallel_lookup, TriangleLookup};
-    let seq = triangle_kcore_decomposition(g);
-    let mut baseline: Option<tkc_core::decompose::Decomposition> = None;
-    for lookup in [TriangleLookup::Stored, TriangleLookup::Merge] {
-        for threads in [1usize, 2, 4, 8] {
-            let par = triangle_kcore_decomposition_parallel_lookup(g, threads, lookup);
-            let oracle = match lookup {
-                TriangleLookup::Stored => "parallel-peel-stored",
-                _ => "parallel-peel-merge",
-            };
-            if let Some(e) = g.edge_ids().find(|&e| par.kappa(e) != seq.kappa(e)) {
-                let (u, v) = g.endpoints(e);
-                return Err(Mismatch {
-                    edge: (u.0, v.0),
-                    dynamic: par.kappa(e),
-                    fresh: seq.kappa(e),
-                    oracle,
-                });
-            }
-            let order_diverged = match &baseline {
-                Some(first) => par.order() != first.order() || par.max_kappa() != first.max_kappa(),
-                None => {
-                    let diverged =
-                        par.max_kappa() != seq.max_kappa() || par.order().len() != g.num_edges();
-                    baseline = Some(par.clone());
-                    diverged
-                }
-            };
-            if order_diverged {
-                return Err(Mismatch {
-                    edge: (u32::MAX, u32::MAX),
-                    dynamic: par.max_kappa(),
-                    fresh: seq.max_kappa(),
-                    oracle,
-                });
-            }
+    use tkc_core::peel_parallel::{level_sync_forced, TriangleLookup};
+    let oracle = crate::bucket::kappa(g);
+    let oracle_max = g.edge_ids().map(|e| oracle[e.index()]).max().unwrap_or(0);
+    let production = triangle_kcore_decomposition(g);
+    let mut runs = vec![("production-peel", production.clone())];
+    for (lookup, name) in [
+        (TriangleLookup::Stored, "parallel-peel-stored"),
+        (TriangleLookup::Merge, "parallel-peel-merge"),
+    ] {
+        for chunks in [1usize, 2, 4, 8] {
+            runs.push((name, level_sync_forced(g, chunks, lookup)));
+        }
+    }
+    for (oracle_name, run) in runs {
+        if let Some(e) = g.edge_ids().find(|&e| run.kappa(e) != oracle[e.index()]) {
+            let (u, v) = g.endpoints(e);
+            return Err(Mismatch {
+                edge: (u.0, v.0),
+                dynamic: run.kappa(e),
+                fresh: oracle[e.index()],
+                oracle: oracle_name,
+            });
+        }
+        if run.max_kappa() != oracle_max
+            || run.order().len() != g.num_edges()
+            || run.order() != production.order()
+        {
+            return Err(Mismatch {
+                edge: (u32::MAX, u32::MAX),
+                dynamic: run.max_kappa(),
+                fresh: oracle_max,
+                oracle: oracle_name,
+            });
         }
     }
     Ok(())
@@ -355,8 +352,9 @@ pub fn check_ooc_decompose(g: &Graph) -> Result<(), Mismatch> {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(0);
 
-    let seq = triangle_kcore_decomposition(g);
     let supports = tkc_graph::triangles::edge_supports(g);
+    let seq = crate::bucket::peel(g, supports.clone());
+    let seq_max = g.edge_ids().map(|e| seq[e.index()]).max().unwrap_or(0);
     let parts = tkc_store::pack_graph(g, &supports, None).expect("pack for ooc differential");
     let dir = std::env::temp_dir().join("tkc_verify_ooc");
     std::fs::create_dir_all(&dir).expect("ooc differential temp dir");
@@ -375,21 +373,21 @@ pub fn check_ooc_decompose(g: &Graph) -> Result<(), Mismatch> {
 
     for e in g.edge_ids() {
         let got = ooc.kappa.get(e.index()).copied().unwrap_or(u32::MAX);
-        if got != seq.kappa(e) {
+        if got != seq[e.index()] {
             let (u, v) = g.endpoints(e);
             return Err(Mismatch {
                 edge: (u.0, v.0),
                 dynamic: got,
-                fresh: seq.kappa(e),
+                fresh: seq[e.index()],
                 oracle: "ooc-peel",
             });
         }
     }
-    if ooc.max_kappa != seq.max_kappa() {
+    if ooc.max_kappa != seq_max {
         return Err(Mismatch {
             edge: (u32::MAX, u32::MAX),
             dynamic: ooc.max_kappa,
-            fresh: seq.max_kappa(),
+            fresh: seq_max,
             oracle: "ooc-peel",
         });
     }

@@ -6,6 +6,9 @@
 //! mechanically checkable, with no shared code paths with the
 //! implementations it audits:
 //!
+//! * [`bucket`] — the paper's one-edge-at-a-time bucket peel, kept as
+//!   the reference the production level-synchronous peel is compared
+//!   against;
 //! * [`certificate`] — [`certificate::KappaCertificate`] verifies any
 //!   claimed κ vector against Definitions 3/4 using its own
 //!   sorted-adjacency triangle counting and an independent peeling replay,
@@ -39,6 +42,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod bucket;
 pub mod certificate;
 pub mod differential;
 pub mod extraction;

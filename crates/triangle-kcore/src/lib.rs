@@ -49,9 +49,7 @@ pub use tkc_viz as viz;
 
 /// One-stop import for the common API surface.
 pub mod prelude {
-    pub use tkc_core::decompose::{
-        triangle_kcore_decomposition, triangle_kcore_decomposition_stored, Decomposition,
-    };
+    pub use tkc_core::decompose::{triangle_kcore_decomposition, Decomposition};
     pub use tkc_core::dynamic::{BatchOp, DynamicTriangleKCore, UpdateStats};
     pub use tkc_core::extract::{
         communities_of_vertex, core_hierarchy, cores_at_level, densest_cliques, kappa_stats,

@@ -5,7 +5,7 @@
 //! composed across crates on dataset-scale graphs.
 
 use triangle_kcore::graph::cliques::maximal_cliques;
-use triangle_kcore::graph::parallel::{edge_supports_parallel, triangle_count_parallel};
+use triangle_kcore::graph::csr::{edge_supports_csr_parallel, triangle_count_csr_parallel};
 use triangle_kcore::prelude::*;
 
 #[test]
@@ -35,9 +35,9 @@ fn decompose_persist_reload_maintain() {
 fn parallel_counting_matches_sequential_on_datasets() {
     let g = triangle_kcore::datasets::build(triangle_kcore::datasets::DatasetId::Wiki, 0.02, 5);
     let seq = triangle_kcore::graph::triangles::edge_supports(&g);
-    assert_eq!(edge_supports_parallel(&g, 4), seq);
+    assert_eq!(edge_supports_csr_parallel(&g, 4), seq);
     assert_eq!(
-        triangle_count_parallel(&g, 4),
+        triangle_count_csr_parallel(&g, 4),
         triangle_kcore::graph::triangles::triangle_count(&g)
     );
 }
