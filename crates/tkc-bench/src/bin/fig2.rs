@@ -35,12 +35,13 @@ fn main() {
         );
     }
     let d = triangle_kcore_decomposition(&g);
-    println!("\nprocessing order (increasing κ̃, level by level; edge id within a round):");
-    for (i, &e) in d.order().iter().enumerate() {
+    println!("\nκ per edge (increasing κ, edge id within a level):");
+    let mut edges: Vec<_> = g.edge_ids().collect();
+    edges.sort_by_key(|&e| (d.kappa(e), e));
+    for e in edges {
         let (u, v) = g.endpoints(e);
         println!(
-            "  step {}: process {}{}  →  κ = {}",
-            i + 1,
+            "  {}{}  →  κ = {}",
             names[u.index()],
             names[v.index()],
             d.kappa(e)

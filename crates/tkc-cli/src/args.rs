@@ -10,9 +10,10 @@ pub struct Parsed {
     switches: Vec<String>,
 }
 
-/// Parses `argv` given the set of value-taking flags; everything else with
-/// a `--` prefix is a boolean switch.
-pub fn parse(argv: &[String], value_flags: &[&str]) -> Result<Parsed, String> {
+/// Parses `argv` given the value-taking flags and the boolean switches;
+/// any other `--name` is an error, so a mistyped or removed flag is not
+/// silently ignored.
+pub fn parse(argv: &[String], value_flags: &[&str], switches: &[&str]) -> Result<Parsed, String> {
     let mut out = Parsed::default();
     let mut i = 0;
     while i < argv.len() {
@@ -24,9 +25,11 @@ pub fn parse(argv: &[String], value_flags: &[&str]) -> Result<Parsed, String> {
                     .ok_or_else(|| format!("--{name} expects a value"))?;
                 out.flags.insert(name.to_string(), v.clone());
                 i += 2;
-            } else {
+            } else if switches.contains(&name) {
                 out.switches.push(name.to_string());
                 i += 1;
+            } else {
+                return Err(format!("unknown flag --{name}"));
             }
         } else {
             out.positionals.push(a.clone());
@@ -81,6 +84,7 @@ mod tests {
         let p = parse(
             &v(&["decompose", "g.txt", "--top", "5", "--timings"]),
             &["top"],
+            &["timings", "verify"],
         )
         .unwrap();
         assert_eq!(p.positionals, vec!["decompose", "g.txt"]);
@@ -92,21 +96,32 @@ mod tests {
 
     #[test]
     fn missing_value_errors() {
-        let err = parse(&v(&["plot", "--svg"]), &["svg"]).unwrap_err();
+        let err = parse(&v(&["plot", "--svg"]), &["svg"], &[]).unwrap_err();
         assert!(err.contains("--svg"));
     }
 
     #[test]
+    fn unknown_flags_error() {
+        let decompose = |extra: &[&str]| {
+            let argv = v(&[&["decompose", "g.txt"], extra].concat());
+            parse(&argv, &["threads"], &["timings"]).unwrap_err()
+        };
+        // A removed switch and a misspelt value flag both name the flag.
+        assert!(decompose(&["--stored"]).contains("--stored"));
+        assert!(decompose(&["--thread", "3"]).contains("--thread"));
+    }
+
+    #[test]
     fn flag_parse_defaults_and_rejects_junk() {
-        let p = parse(&v(&["x", "--scale", "abc"]), &["scale"]).unwrap();
+        let p = parse(&v(&["x", "--scale", "abc"]), &["scale"], &[]).unwrap();
         assert!(p.flag_parse::<f64>("scale", 1.0).is_err());
-        let p = parse(&v(&["x"]), &["scale"]).unwrap();
+        let p = parse(&v(&["x"]), &["scale"], &[]).unwrap();
         assert_eq!(p.flag_parse::<f64>("scale", 0.5).unwrap(), 0.5);
     }
 
     #[test]
     fn positional_error_message() {
-        let p = parse(&v(&["decompose"]), &[]).unwrap();
+        let p = parse(&v(&["decompose"]), &[], &[]).unwrap();
         assert!(p
             .positional(1, "edge list path")
             .unwrap_err()

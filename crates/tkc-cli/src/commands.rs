@@ -47,8 +47,8 @@ pub const USAGE: &str = "usage:
   tkc analyze   [--root dir] [--policy analyze.toml] [--format text|json]
 
 (--threads 0 = all cores; Algorithm 1's support pass and peel rounds run
- on the wedge-balanced worker pool, with the same κ and order at every
- thread count; TKC_LOG=error|warn|info|debug tunes diagnostics on stderr)
+ on the wedge-balanced worker pool, with the same κ at every thread
+ count; TKC_LOG=error|warn|info|debug tunes diagnostics on stderr)
 
 serve speaks a line protocol on --addr (default 127.0.0.1:7007):
   KAPPA u v | MAXK | TRUSS k | INSERT u v | REMOVE u v | BATCH n
@@ -129,6 +129,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             "format",
             "budget",
         ],
+        &["timings", "verify", "suite", "no-fsync", "repl"],
     )?;
     match p.positional(0, "subcommand")? {
         "decompose" => decompose(&p),
@@ -163,9 +164,12 @@ fn summarize(g: &Graph, d: &Decomposition) {
         d.max_kappa(),
         d.max_kappa() + 2
     );
-    let hist = d.histogram();
+    print_histogram(d);
+}
+
+fn print_histogram(d: &Decomposition) {
     println!("κ histogram:");
-    for (k, count) in hist.iter().enumerate() {
+    for (k, count) in d.histogram().iter().enumerate() {
         if *count > 0 {
             println!("  κ = {k:>3}: {count}");
         }
@@ -313,8 +317,8 @@ fn update(p: &crate::args::Parsed) -> Result<(), String> {
             return Err("maintained κ diverged from recompute".into());
         }
     }
-    let d = Decomposition::from_kappa_for_display(m);
-    println!("{}", d);
+    let (g, kappa) = m.into_parts();
+    print_histogram(&Decomposition::from_kappa(&g, kappa));
     Ok(())
 }
 
@@ -1084,32 +1088,6 @@ fn analyze(p: &crate::args::Parsed) -> Result<(), String> {
         // Findings (1) and setup errors (2) are already on stdout; exit
         // with the analyzer's code without dumping the tkc usage text.
         code => std::process::exit(code),
-    }
-}
-
-/// Small display helper so `update` can print a histogram without exposing
-/// internals.
-trait DisplayExt {
-    fn from_kappa_for_display(m: DynamicTriangleKCore) -> String;
-}
-
-impl DisplayExt for Decomposition {
-    fn from_kappa_for_display(m: DynamicTriangleKCore) -> String {
-        let mut hist: Vec<usize> = Vec::new();
-        for e in m.graph().edge_ids() {
-            let k = m.kappa(e) as usize;
-            if hist.len() <= k {
-                hist.resize(k + 1, 0);
-            }
-            hist[k] += 1;
-        }
-        let mut out = String::from("κ histogram after update:\n");
-        for (k, count) in hist.iter().enumerate() {
-            if *count > 0 {
-                out.push_str(&format!("  κ = {k:>3}: {count}\n"));
-            }
-        }
-        out
     }
 }
 

@@ -19,65 +19,50 @@ use tkc_graph::{EdgeId, Graph};
 ///
 /// Paper correspondence: `κ(e)` is Definition 4's maximum Triangle K-Core
 /// number of the edge; `co_clique_size(e) = κ(e) + 2` is the proxy the
-/// visual-analytic layer plots (§V); `order` is the processing order used
-/// by Rule 1 and the update algorithms of the appendix.
+/// visual-analytic layer plots (§V). The paper's processing order is not
+/// stored: Rule 1 ([`core_triangles_of_edge`]) ranks edges by `(κ, edge
+/// id)` instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Decomposition {
     kappa: Vec<u32>,
-    order: Vec<EdgeId>,
     max_kappa: u32,
+    /// Live edges: a dead slot and a triangle-free live edge both read
+    /// κ 0, so [`Decomposition::histogram`] needs the count to fill
+    /// bucket 0.
+    live_edges: usize,
 }
 
 impl Decomposition {
     /// Runs Algorithm 1 with `threads` workers (`0` = available
-    /// parallelism). κ, order, and max κ are identical for every thread
-    /// count. See [`triangle_kcore_decomposition_timed`].
+    /// parallelism). κ and max κ are identical for every thread count.
+    /// See [`triangle_kcore_decomposition_timed`].
     pub fn compute_with(g: &Graph, threads: usize) -> Decomposition {
         triangle_kcore_decomposition_timed(g, threads).0
     }
 
     /// Assembles a decomposition from parts the level-synchronous peel
-    /// has built: κ per raw edge id, `order` a genuine peel order
-    /// non-decreasing in κ, and the largest κ.
-    pub(crate) fn from_parts(kappa: Vec<u32>, order: Vec<EdgeId>, max_kappa: u32) -> Decomposition {
+    /// has built: κ per raw edge id (dead slots 0), the largest κ, and
+    /// the number of live edges.
+    pub(crate) fn from_parts(kappa: Vec<u32>, max_kappa: u32, live_edges: usize) -> Decomposition {
         Decomposition {
             kappa,
-            order,
             max_kappa,
+            live_edges,
         }
     }
 
     /// Wraps an externally maintained κ vector (the dynamic maintainer's,
     /// or one restored by [`crate::persist`]) as a decomposition view, so
     /// snapshot consumers — histograms, level-set extraction, the serving
-    /// layer — can query it through the same interface.
-    ///
-    /// The processing order is synthesized by counting-sorting live edges
-    /// on `(κ, edge id)`: not the order a peel would have produced, but
-    /// non-decreasing in κ, which is all every order consumer relies on —
-    /// Rule 1 triangle recovery ([`core_triangles_of_edge`]) included.
+    /// layer — can query it through the same interface. Slots of dead
+    /// edges must read 0, as the maintainer and the readers leave them.
     pub fn from_kappa(g: &Graph, mut kappa: Vec<u32>) -> Decomposition {
         kappa.resize(g.edge_bound().max(kappa.len()), 0);
         let max_kappa = g.edge_ids().map(|e| kappa[e.index()]).max().unwrap_or(0);
-        // Counting sort: bucket sizes, prefix offsets, then placement in
-        // edge-id order so ties stay sorted by id.
-        let mut counts = vec![0usize; max_kappa as usize + 2];
-        for e in g.edge_ids() {
-            counts[kappa[e.index()] as usize + 1] += 1;
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let mut order = vec![EdgeId::from(0usize); g.num_edges()];
-        for e in g.edge_ids() {
-            let slot = &mut counts[kappa[e.index()] as usize];
-            order[*slot] = e;
-            *slot += 1;
-        }
         Decomposition {
             kappa,
-            order,
             max_kappa,
+            live_edges: g.num_edges(),
         }
     }
 
@@ -107,20 +92,16 @@ impl Decomposition {
         self.kappa(e) + 2
     }
 
-    /// Edges in the order Algorithm 1 processed them (non-decreasing κ).
-    /// This is the `Edges` list of the paper; index = `e.order`.
-    #[inline]
-    pub fn order(&self) -> &[EdgeId] {
-        &self.order
-    }
-
     /// Number of live edges with each κ value (`hist[k]` = count of edges
-    /// with `κ == k`).
+    /// with `κ == k`). Dead slots are not counted.
     pub fn histogram(&self) -> Vec<usize> {
         let mut hist = vec![0usize; self.max_kappa as usize + 1];
-        for &e in &self.order {
-            hist[self.kappa(e) as usize] += 1;
+        for &k in &self.kappa {
+            hist[k as usize] += 1;
         }
+        // Bucket 0 also counted every dead slot; keep the live edges only.
+        let positive: usize = hist[1..].iter().sum();
+        hist[0] = self.live_edges - positive;
         hist
     }
 
@@ -129,62 +110,43 @@ impl Decomposition {
     pub fn into_kappa(self) -> Vec<u32> {
         self.kappa
     }
-
-    /// The processing rank of each edge (`rank[e] = position in order`,
-    /// `usize::MAX` for dead slots) — the paper's `e.order`.
-    pub fn ranks(&self) -> Vec<usize> {
-        let bound = self
-            .order
-            .iter()
-            .map(|e| e.index() + 1)
-            .max()
-            .unwrap_or(0)
-            .max(self.kappa.len());
-        let mut rank = vec![usize::MAX; bound];
-        for (i, &e) in self.order.iter().enumerate() {
-            rank[e.index()] = i;
-        }
-        rank
-    }
 }
 
 /// The paper's **Rule 1**: without storing triangles, recover which of an
 /// edge's triangles lie in its maximum Triangle K-Core — sort the
-/// triangles by "process time" (the smallest processing rank among their
+/// triangles by "process time" (the earliest-processed of their three
 /// edges); the *last* `κ(e)` of them are in the core.
 ///
-/// `ranks` may come from any order non-decreasing in κ, not only a peel
-/// order: a triangle whose three edges all have κ ≥ κ(e) has its process
-/// time inside the κ ≥ κ(e) block of the order, every other triangle has
-/// it before that block, and `e` has at least κ(e) triangles of the first
-/// kind. So the last κ(e) triangles by process time all lie in the
-/// κ ≥ κ(e) subgraph.
+/// The process time here is the smallest `(κ, edge id)` key among the
+/// three edges. The paper uses Algorithm 1's processing order, but any
+/// order non-decreasing in κ works, and `(κ, edge id)` is one: a triangle
+/// whose three edges all have κ ≥ κ(e) has its process time inside the
+/// κ ≥ κ(e) block of the order, every other triangle has it before that
+/// block, and `e` has at least κ(e) triangles of the first kind. So the
+/// last κ(e) triangles by process time all lie in the κ ≥ κ(e) subgraph.
 ///
 /// Returns the apexes `w` of those triangles (each identifies the triangle
 /// `{u, v, w}` on the edge `e = {u, v}`).
 pub fn core_triangles_of_edge(
     g: &Graph,
     decomp: &Decomposition,
-    ranks: &[usize],
     e: EdgeId,
 ) -> Vec<tkc_graph::VertexId> {
     let k = decomp.kappa(e) as usize;
     if k == 0 {
         return Vec::new();
     }
-    let mut tris: Vec<(usize, tkc_graph::VertexId)> = Vec::new();
+    let key = |x: EdgeId| (decomp.kappa(x), x);
+    let mut tris: Vec<((u32, EdgeId), tkc_graph::VertexId)> = Vec::new();
     g.for_each_triangle_on_edge(e, |w, e1, e2| {
-        let process_time = ranks[e.index()]
-            .min(ranks[e1.index()])
-            .min(ranks[e2.index()]);
-        tris.push((process_time, w));
+        tris.push((key(e).min(key(e1)).min(key(e2)), w));
     });
     tris.sort_unstable();
     tris.iter().rev().take(k).map(|&(_, w)| w).collect()
 }
 
 /// Runs Algorithm 1 on `g`: every live edge's maximum Triangle K-Core
-/// number, plus the processing order. Single-threaded
+/// number. Single-threaded
 /// [`triangle_kcore_decomposition_timed`].
 ///
 /// # Examples
@@ -225,8 +187,8 @@ impl PhaseTimings {
 /// The in-memory decomposition, on `threads` workers (`0` = available
 /// parallelism): freeze the CSR snapshot, run the fused collect-or-bail
 /// support pass, then the level-synchronous frontier rounds
-/// ([`crate::peel_parallel`]). κ, order, and max κ are identical for
-/// every thread count.
+/// ([`crate::peel_parallel`]). κ and max κ are identical for every
+/// thread count.
 ///
 /// Returns per-phase wall-clock timings too, recorded into the global
 /// [`tkc_obs`] registry as `tkc_decompose_phase_seconds{phase=...}`
@@ -298,7 +260,7 @@ mod tests {
     fn stored_variant_matches_streaming_variant() {
         // Production peels over stored triangles on these sparse graphs;
         // the forced merge lookup re-intersects adjacency instead. Both
-        // must match the definitional oracle, with one processing order.
+        // must match the definitional oracle.
         let check = |g: &Graph, label: &str| {
             let stored = triangle_kcore_decomposition(g);
             let streaming = level_sync_forced(g, 1, TriangleLookup::Merge);
@@ -321,8 +283,8 @@ mod tests {
 
     #[test]
     fn compute_with_threads_is_invariant() {
-        // κ, processing order, and max κ must not depend on the thread
-        // count — also on graphs big enough for rounds to fan out.
+        // κ and max κ must not depend on the thread count — also on
+        // graphs big enough for rounds to fan out.
         for seed in 0..4 {
             for g in [
                 generators::holme_kim(400, 3, 0.6, seed),
@@ -332,7 +294,6 @@ mod tests {
                 for threads in [0, 1, 2, 4] {
                     let d = Decomposition::compute_with(&g, threads);
                     assert_eq!(d.kappa_slice(), base.kappa_slice(), "seed {seed}");
-                    assert_eq!(d.order(), base.order(), "seed {seed}, {threads} threads");
                     assert_eq!(d.max_kappa(), base.max_kappa());
                 }
             }
@@ -365,18 +326,23 @@ mod tests {
         let par = Decomposition::compute_with(&g, 3);
         assert_eq!(par.kappa_slice(), naive_kappa(&g).as_slice());
         assert_eq!(par, triangle_kcore_decomposition(&g));
+        // Dead slots read κ 0 but stay out of the histogram's bucket 0.
+        let view = Decomposition::from_kappa(&g, par.kappa_slice().to_vec());
+        for d in [&par, &view] {
+            assert_eq!(d.histogram().iter().sum::<usize>(), g.num_edges());
+        }
     }
 
     #[test]
     fn empty_and_tiny_graphs() {
         let d = triangle_kcore_decomposition(&Graph::new());
         assert_eq!(d.max_kappa(), 0);
-        assert!(d.order().is_empty());
+        assert_eq!(d.histogram(), vec![0]);
 
         let path = generators::path(4);
         let d = triangle_kcore_decomposition(&path);
         assert_eq!(d.max_kappa(), 0);
-        assert_eq!(d.order().len(), 3);
+        assert_eq!(d.histogram(), vec![3]);
         for e in path.edge_ids() {
             assert_eq!(d.kappa(e), 0);
             assert_eq!(d.co_clique_size(e), 2);
@@ -450,15 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn order_is_sorted_by_kappa() {
-        let g = generators::planted_partition(3, 8, 0.8, 0.05, 3);
-        let d = triangle_kcore_decomposition(&g);
-        let ks: Vec<u32> = d.order().iter().map(|&e| d.kappa(e)).collect();
-        assert!(ks.windows(2).all(|w| w[0] <= w[1]), "order not monotone");
-        assert_eq!(d.order().len(), g.num_edges());
-    }
-
-    #[test]
     fn two_disjoint_cliques() {
         let mut g = generators::complete(6);
         let base = g.num_vertices();
@@ -493,7 +450,7 @@ mod tests {
         g.remove_edge(dead).unwrap();
         let d = triangle_kcore_decomposition(&g);
         assert_eq!(d.kappa(dead), 0);
-        assert_eq!(d.order().len(), 9);
+        assert_eq!(d.histogram().iter().sum::<usize>(), 9);
         // K5 minus an edge: the 6 edges among {2,3,4} plus pairs... every
         // remaining edge still has κ = 2 (K4s remain).
         for e in g.edge_ids() {
@@ -512,17 +469,16 @@ mod tests {
     fn rule_1_recovers_core_triangles() {
         // For every edge, the κ(e) triangles Rule 1 selects must each have
         // both other edges at κ >= κ(e) — i.e., they are a valid witness
-        // for the maximum core (Theorem 1). Any order non-decreasing in κ
-        // will do, so the synthesized `from_kappa` order must work too.
+        // for the maximum core (Theorem 1). Rule 1 ranks by (κ, edge id),
+        // so the peel result and the `from_kappa` view must both pass.
         for seed in 0..6 {
             let g = generators::gnp(20, 0.3, seed);
             let peeled = triangle_kcore_decomposition(&g);
-            let synthesized = Decomposition::from_kappa(&g, peeled.kappa_slice().to_vec());
-            for d in [&peeled, &synthesized] {
-                let ranks = d.ranks();
+            let view = Decomposition::from_kappa(&g, peeled.kappa_slice().to_vec());
+            for d in [&peeled, &view] {
                 for e in g.edge_ids() {
                     let (u, v) = g.endpoints(e);
-                    let apexes = core_triangles_of_edge(&g, d, &ranks, e);
+                    let apexes = core_triangles_of_edge(&g, d, e);
                     assert_eq!(apexes.len(), d.kappa(e) as usize, "seed {seed}");
                     for w in apexes {
                         let e1 = g.edge_between(u, w).unwrap();
@@ -532,16 +488,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn ranks_invert_the_order() {
-        let g = generators::planted_partition(2, 8, 0.7, 0.1, 3);
-        let d = triangle_kcore_decomposition(&g);
-        let ranks = d.ranks();
-        for (i, &e) in d.order().iter().enumerate() {
-            assert_eq!(ranks[e.index()], i);
         }
     }
 
@@ -557,11 +503,6 @@ mod tests {
         assert_eq!(view.histogram(), d.histogram());
         for e in g.edge_ids() {
             assert_eq!(view.kappa(e), d.kappa(e));
-        }
-        // Synthesized order is non-decreasing in κ and covers every live edge.
-        assert_eq!(view.order().len(), g.num_edges());
-        for w in view.order().windows(2) {
-            assert!(view.kappa(w[0]) <= view.kappa(w[1]));
         }
     }
 

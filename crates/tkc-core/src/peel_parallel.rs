@@ -49,8 +49,8 @@
 //!
 //! ## Determinism
 //!
-//! Bit-identical results for every chunk count, thread count, and
-//! lookup structure come from four rules:
+//! Bit-identical κ for every chunk count, thread count, and lookup
+//! structure comes from three rules:
 //!
 //! * the `mark` array (unpeeled / frontier / peeled) is written only by
 //!   the coordinating thread *between* rounds — workers treat it as
@@ -60,10 +60,11 @@
 //!   decremented exactly once per triangle regardless of chunking;
 //! * exactly one CAS observes the transition onto `level` (transition
 //!   values are unique), so each cascading edge enters exactly one
-//!   worker's local next-frontier buffer;
-//! * local buffers are concatenated in chunk-submission order and then
-//!   sorted, erasing chunk boundaries, CAS timing, and triangle-visit
-//!   order from the result.
+//!   worker's local next-frontier buffer.
+//!
+//! The order of edges inside a frontier follows chunking and CAS timing,
+//! but nothing reads it: every frontier edge gets κ = `level`, and the
+//! ownership rule compares edge ids, not frontier positions.
 
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -130,9 +131,8 @@ pub(crate) fn level_sync_from_csr(
 /// available parallelism; not capped at the pool size), every
 /// multi-chunk round fanned out to the pool, and the triangle lookup
 /// forced, so `tkc-verify` and the property tests reach the multi-chunk
-/// merge and both lookups on any machine and graph. κ, order and max κ
-/// are bit-identical to [`Decomposition::compute_with`] for every
-/// argument.
+/// merge and both lookups on any machine and graph. κ and max κ are
+/// bit-identical to [`Decomposition::compute_with`] for every argument.
 #[doc(hidden)]
 pub fn level_sync_forced(g: &Graph, chunks: usize, lookup: TriangleLookup) -> Decomposition {
     let csr = Arc::new(CsrGraph::freeze(g));
@@ -203,8 +203,7 @@ fn collect_triangles(csr: &CsrGraph, cap: usize) -> Option<Vec<(EdgeId, EdgeId, 
     Some(tris)
 }
 
-/// Live edge ids of the snapshot, ascending (the canonical initial scan
-/// order the peel's determinism leans on).
+/// Live edge ids of the snapshot, ascending.
 fn live_edges(csr: &CsrGraph) -> Vec<EdgeId> {
     let mut alive = vec![false; csr.edge_bound()];
     for r in 0..csr.num_vertices() {
@@ -328,25 +327,25 @@ fn peel_rounds<S: TriangleSource>(
     let m = remaining.len();
     let mut kappa = vec![0u32; bound];
     if m == 0 {
-        return Decomposition::from_parts(kappa, Vec::new(), 0);
+        return Decomposition::from_parts(kappa, 0, 0);
     }
     let sup: Arc<Vec<AtomicU32>> = Arc::new(sup.into_iter().map(AtomicU32::new).collect());
     let mark: Arc<Vec<AtomicU8>> = Arc::new((0..bound).map(|_| AtomicU8::new(UNPEELED)).collect());
     let mut src = Arc::new(src);
-    let mut order: Vec<EdgeId> = Vec::with_capacity(m);
+    let mut peeled = 0usize;
     let mut max_kappa = 0u32;
 
-    while order.len() < m {
+    while peeled < m {
         let (mut frontier, level) = harvest(&mut remaining, &sup, &mark);
         // analyze: invariant(check_parallel_peel)
         debug_assert!(
             !frontier.is_empty() && level != u32::MAX,
             "harvest found no frontier with {} edges unpeeled",
-            m - order.len()
+            m - peeled
         );
         // analyze: invariant(check_parallel_peel)
         debug_assert!(
-            order.is_empty() || level > max_kappa,
+            peeled == 0 || level > max_kappa,
             "level monotonicity violation: harvested level {level} after \
              finishing level {max_kappa}"
         );
@@ -373,14 +372,14 @@ fn peel_rounds<S: TriangleSource>(
             if let Some(source) = Arc::get_mut(&mut src) {
                 source.note_peeled(&frontier);
             }
-            order.append(&mut frontier);
+            peeled += frontier.len();
             frontier = next;
         }
         if let Some(source) = Arc::get_mut(&mut src) {
             source.end_level(&mark);
         }
     }
-    Decomposition::from_parts(kappa, order, max_kappa)
+    Decomposition::from_parts(kappa, max_kappa, m)
 }
 
 /// One pass over the unpeeled edges: drop peeled entries, find the new
@@ -422,7 +421,7 @@ fn harvest(
 }
 
 /// Runs one frontier round and returns the next frontier (edges whose
-/// support cascaded down onto `level`), sorted ascending.
+/// support cascaded down onto `level`).
 fn run_frontier_round<S: TriangleSource>(
     src: &Arc<S>,
     sup: &Arc<Vec<AtomicU32>>,
@@ -439,7 +438,7 @@ fn run_frontier_round<S: TriangleSource>(
     if level == 0 {
         return Vec::new();
     }
-    let mut next = if chunks <= 1 || frontier.len() < chunks {
+    if chunks <= 1 || frontier.len() < chunks {
         process_slice(src.as_ref(), sup, mark, frontier, level)
     } else {
         // Work-prefix sums over the frontier, so chunks are balanced by
@@ -475,16 +474,11 @@ fn run_frontier_round<S: TriangleSource>(
                     move || process_slice(src.as_ref(), &sup, &mark, &shared[lo..hi], level)
                 })
                 .collect();
-            // Results merge in chunk-submission order: which worker ran
-            // which chunk (or whether the round ran inline at all) is
-            // unobservable after the sort below.
             WorkerPool::global()
                 .run_round(jobs, total, round_floor)
                 .concat()
         }
-    };
-    next.sort_unstable();
-    next
+    }
 }
 
 /// Processes one slice of the frontier: for every still-alive triangle on
@@ -555,7 +549,7 @@ mod tests {
     use tkc_graph::{generators, VertexId};
 
     /// Every (chunks, lookup) configuration reproduces the definitional
-    /// oracle's κ and the 1-chunk run's processing order.
+    /// oracle's κ and the 1-chunk run's max κ.
     fn assert_matches_sequential(g: &Graph, label: &str) {
         let want = naive_kappa(g);
         let base = level_sync_forced(g, 1, TriangleLookup::Auto);
@@ -600,26 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn order_is_identical_across_chunk_counts_and_lookups() {
-        let g = generators::holme_kim(250, 3, 0.5, 3);
-        let base = level_sync_forced(&g, 1, TriangleLookup::Auto);
-        for threads in [2usize, 3, 8] {
-            for lookup in [TriangleLookup::Stored, TriangleLookup::Merge] {
-                let d = level_sync_forced(&g, threads, lookup);
-                assert_eq!(d.order(), base.order(), "{threads} chunks via {lookup:?}");
-            }
-        }
-        // The order is a genuine peel order: non-decreasing κ over a
-        // permutation of the live edges.
-        let ks: Vec<u32> = base.order().iter().map(|&e| base.kappa(e)).collect();
-        assert!(ks.windows(2).all(|w| w[0] <= w[1]));
-        let mut ids: Vec<_> = base.order().to_vec();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), g.num_edges());
-    }
-
-    #[test]
     fn auto_gate_picks_merge_on_dense_and_stored_on_sparse() {
         // K60: Σ sup = 3·C(60,3) ≫ 8·m — Auto must not materialize.
         let dense = generators::complete(60);
@@ -637,7 +611,7 @@ mod tests {
     #[test]
     fn production_routing_uses_level_sync_and_matches() {
         // Every thread count runs the same body, so the production entry
-        // points and the forced hook agree on κ *and* order.
+        // points and the forced hook agree on κ and max κ.
         let g = generators::holme_kim(800, 4, 0.7, 11);
         let want = naive_kappa(&g);
         let forced = level_sync_forced(&g, 4, TriangleLookup::Auto);

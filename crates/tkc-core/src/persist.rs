@@ -160,7 +160,7 @@ fn parse_header(line: &str, magic: &'static str) -> Option<u32> {
     digits.parse().ok()
 }
 
-/// Writes `u v κ` per live edge, in processing order, behind a versioned
+/// Writes `u v κ` per live edge, in edge-id order, behind a versioned
 /// magic header.
 ///
 /// # Examples
@@ -180,7 +180,7 @@ fn parse_header(line: &str, magic: &'static str) -> Option<u32> {
 pub fn write_kappa<W: Write>(g: &Graph, d: &Decomposition, writer: W) -> std::io::Result<()> {
     let mut w = BufWriter::new(writer);
     writeln!(w, "{KAPPA_MAGIC}{KAPPA_VERSION}; edges {}", g.num_edges())?;
-    for &e in d.order() {
+    for e in g.edge_ids() {
         let (u, v) = g.endpoints(e);
         writeln!(w, "{u} {v} {}", d.kappa(e))?;
     }

@@ -52,13 +52,6 @@ proptest! {
     }
 
     #[test]
-    fn processing_order_is_monotone_in_kappa(g in random_graph(16)) {
-        let d = triangle_kcore_decomposition(&g);
-        let ks: Vec<u32> = d.order().iter().map(|&e| d.kappa(e)).collect();
-        prop_assert!(ks.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
     fn dynamic_matches_static_after_every_op(
         init in random_graph(10),
         ops in proptest::collection::vec(op_strategy(10), 1..40),

@@ -23,10 +23,6 @@ fn full_pipeline_on_ppi_standin() {
             assert!(is_triangle_kcore(&g, &core.edges, i as u32 + 1));
         }
     }
-
-    // The processing order is a valid peel order: non-decreasing κ.
-    let ks: Vec<u32> = d.order().iter().map(|&e| d.kappa(e)).collect();
-    assert!(ks.windows(2).all(|w| w[0] <= w[1]));
 }
 
 #[test]
