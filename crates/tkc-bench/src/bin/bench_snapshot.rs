@@ -271,17 +271,15 @@ fn instrumentation_overhead_gate(g: &Graph, thread_counts: &[usize], reps: usize
     )
 }
 
-/// The span-recording acceptance gate (ISSUE 9): a real `Engine::apply`
-/// ingest run — WAL append, triangle cascade, epoch publish — with span
-/// recording enabled must run within 2% of the same run with spans shed
-/// via `TraceBuffer::set_spans_enabled(false)` (every `SpanGuard` inert:
-/// one relaxed load, no clock reads, no ring push). The op-trace ring
-/// stays ON for both sides — it predates the span layer and carries its
-/// own per-op record cost, so toggling it too would attribute that cost
-/// to spans. Each rep opens a fresh engine in a throwaway temp dir with
-/// fsync off so the measured path is pure apply work, not disk flush
-/// latency. Min-of-N on both sides with an absolute jitter floor;
-/// aborts on regression.
+/// The span-recording acceptance gate: a real `Engine::apply` ingest
+/// run — WAL append, triangle cascade, epoch publish — with tracing
+/// enabled must run within 2% of the same run with tracing off via
+/// `TraceBuffer::set_enabled(false)` (every `SpanGuard` inert: one
+/// relaxed load, no clock reads, no ring push). The trace ring holds
+/// only spans, so the difference is span recording alone. Each rep
+/// opens a fresh engine in a throwaway temp dir with fsync off so the
+/// measured path is pure apply work, not disk flush latency. Min-of-N
+/// on both sides with an absolute jitter floor; aborts on regression.
 fn span_overhead_gate(reps: usize, seed: u64) -> String {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -335,10 +333,7 @@ fn span_overhead_gate(reps: usize, seed: u64) -> String {
             .collect()
     };
     let run_in_temp = |tag: &str, rep: usize, spans: bool| -> Vec<Duration> {
-        // Buffer enabled on BOTH sides (op-trace cost held constant);
-        // only span recording toggles.
-        tkc_obs::TraceBuffer::global().set_enabled(true);
-        tkc_obs::TraceBuffer::global().set_spans_enabled(spans);
+        tkc_obs::TraceBuffer::global().set_enabled(spans);
         let dir =
             std::env::temp_dir().join(format!("tkc_bench_span_{tag}_{}_{rep}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -398,19 +393,18 @@ fn span_overhead_gate(reps: usize, seed: u64) -> String {
         (off, on) = measure_once(1);
     }
     // Leave the process-global buffer the way the rest of the bench
-    // expects it: disabled and empty, spans back on.
+    // expects it: disabled and empty.
     tkc_obs::TraceBuffer::global().set_enabled(false);
-    tkc_obs::TraceBuffer::global().set_spans_enabled(true);
     tkc_obs::TraceBuffer::global().clear();
 
     let budget = off.mul_f64(0.02).max(Duration::from_micros(300));
     assert!(
         on <= off + budget,
-        "span overhead gate: spans on {on:?} vs spans shed {off:?} \
+        "span overhead gate: spans on {on:?} vs tracing off {off:?} \
          exceeds 2% (+{budget:?} floor) on the engine apply path twice"
     );
     tkc_obs::info!(
-        "span overhead: spans on {} s vs spans shed {} s on engine apply (gate: <=2%)",
+        "span overhead: spans on {} s vs tracing off {} s on engine apply (gate: <=2%)",
         fmt_secs(on),
         fmt_secs(off),
     );

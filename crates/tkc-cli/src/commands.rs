@@ -56,13 +56,13 @@ serve speaks a line protocol on --addr (default 127.0.0.1:7007):
   QUIT | SHUTDOWN
 
 --metrics-addr additionally serves Prometheus text at GET /metrics;
---trace-out enables the structured op trace and request spans (last
---trace-cap records each, default 4096) and writes both as JSONL on
-shutdown; --slow-op-ms logs any request slower than N ms with its full
-span tree; --slo arms per-verb latency objectives (SPEC is
-`VERB=ms[@objective],...`, e.g. `INSERT=5,KAPPA=0.5@0.999`) reported by
-the SLO verb and tkc_slo_* gauges; `tkc obs report` renders a trace
-JSONL and/or a /metrics scrape as a human-readable snapshot
+--trace-out enables request spans (the last --trace-cap spans are kept,
+default 4096) and writes them as JSONL on shutdown; --slow-op-ms logs
+any request slower than N ms with its full span tree; --slo arms
+per-verb latency objectives (SPEC is `VERB=ms[@objective],...`, e.g.
+`INSERT=5,KAPPA=0.5@0.999`) reported by the SLO verb and tkc_slo_*
+gauges; `tkc obs report` renders a trace JSONL and/or a /metrics scrape
+as a human-readable snapshot
 
 --failpoint arms deterministic fault injection on the WAL and the
 replication link (sites wal.open|wal.append|wal.fsync|wal.truncate|
@@ -692,10 +692,10 @@ fn store_pack(p: &crate::args::Parsed) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let info = parts.info();
     println!(
-        "packed {} vertices / {} edges → {out} ({bytes} bytes, {:.2}× vs raw CSR)",
+        "packed {} vertices / {} edges → {out} ({bytes} bytes, {:.2}× the raw CSR)",
         g.num_vertices(),
         g.num_edges(),
-        info.raw_csr_bytes() as f64 / bytes as f64,
+        bytes as f64 / info.raw_csr_bytes() as f64,
     );
     Ok(())
 }
@@ -719,10 +719,10 @@ fn store_info(p: &crate::args::Parsed) -> Result<(), String> {
         reader.term()
     );
     println!(
-        "  {} bytes on disk, raw CSR {} bytes ({:.2}× compression), checksums OK",
+        "  {} bytes on disk, raw CSR {} bytes ({:.2}× the raw CSR), checksums OK",
         info.file_bytes,
         info.raw_csr_bytes(),
-        info.raw_csr_bytes() as f64 / info.file_bytes as f64
+        info.file_bytes as f64 / info.raw_csr_bytes() as f64
     );
     for (tag, len) in &info.sections {
         println!("  section {tag:?}: {len} bytes");
@@ -951,11 +951,11 @@ fn serve(p: &crate::args::Parsed) -> Result<(), String> {
         ms.stop();
     }
     if let Some(path) = trace_out {
-        // Ops and spans interleaved by timestamp — the same stream
-        // `TRACE n` serves live and `tkc obs report` renders offline.
+        // The same span stream `TRACE n` serves live and `tkc obs
+        // report` renders offline.
         std::fs::write(&path, TraceBuffer::global().export_all_jsonl())
             .map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote op/span trace to {path}");
+        println!("wrote span trace to {path}");
     }
     println!("shut down cleanly (state compacted to {dir})");
     Ok(())

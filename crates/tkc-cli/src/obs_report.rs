@@ -3,8 +3,8 @@
 //! Turns the two machine-facing outputs of a serve run into a short
 //! human-readable snapshot:
 //!
-//! - the trace JSONL written by `--trace-out` (op records and span
-//!   records interleaved; span lines carry `"kind":"span"`), folded
+//! - the span JSONL written by `--trace-out` (one span per line, each
+//!   carrying `"kind":"span"`; any other line is skipped), folded
 //!   into a **top spans by self-time** table, where self-time is a
 //!   span's duration minus the duration of its direct children — the
 //!   time actually spent *in* that phase rather than below it;
@@ -49,8 +49,9 @@ fn json_u64(line: &str, key: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Parses one trace JSONL line into a [`SpanRow`]; op records (no
-/// `"kind":"span"`) and malformed lines yield `None`.
+/// Parses one trace JSONL line into a [`SpanRow`]; lines without
+/// `"kind":"span"` (such as the op records of older trace files) and
+/// malformed lines yield `None`.
 pub fn parse_span_line(line: &str) -> Option<SpanRow> {
     if !line.contains("\"kind\":\"span\"") {
         return None;

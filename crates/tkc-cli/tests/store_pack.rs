@@ -1,9 +1,9 @@
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 //! `tkc store pack <dir>` imports a text `state.tkc` into the engine's
 //! store and must carry the header's replication position with it: a
 //! promoted node that forgot its fencing term could be fenced by a
-//! stale primary.
+//! stale primary. `tkc store info` then reports the packed file.
 
 use std::process::Command;
 
@@ -41,6 +41,31 @@ fn pack_dir_keeps_seq_and_term() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(dir.join(STORE_FILE).exists());
+
+    // `store info` states the file's size as a multiple of the raw CSR's.
+    let out = Command::new(env!("CARGO_BIN_EXE_tkc"))
+        .args(["store", "info"])
+        .arg(dir.join(STORE_FILE))
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "tkc store info failed");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let line = stdout
+        .lines()
+        .find(|l| l.contains("bytes on disk"))
+        .unwrap_or_else(|| panic!("no size line in {stdout}"));
+    let nums: Vec<&str> = line
+        .split(|c: char| !(c.is_ascii_digit() || c == '.'))
+        .filter(|t| !t.is_empty())
+        .collect();
+    let (file, raw) = (
+        nums[0].parse::<f64>().unwrap(),
+        nums[1].parse::<f64>().unwrap(),
+    );
+    assert!(
+        line.contains(&format!("({:.2}× the raw CSR), checksums OK", file / raw)),
+        "{line}"
+    );
 
     let engine = Engine::open(EngineConfig {
         fsync: false,

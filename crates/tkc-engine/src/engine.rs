@@ -33,7 +33,7 @@ use tkc_core::persist::{read_state_full, PersistError};
 use tkc_faults::{DiskFile, FaultFile, FaultPlan};
 use tkc_graph::csr::edge_supports_csr;
 use tkc_graph::{Graph, VertexId};
-use tkc_obs::{Counter, Gauge, Histogram, MetricsRegistry, SpanGuard, TraceBuffer, TraceRecord};
+use tkc_obs::{Counter, Gauge, Histogram, MetricsRegistry, SpanGuard};
 use tkc_store::{pack_graph, PageCacheConfig, StoreError, StoreInfo, StoreReader};
 
 use crate::error::{EngineError, EngineState};
@@ -813,35 +813,15 @@ impl Engine {
         m.wal_appends.inc();
         m.wal_bytes.add(append.bytes);
         let mut report = ApplyReport::default();
-        // One relaxed load: the disabled-tracing hot path never touches
-        // the clock or builds records.
-        let trace = TraceBuffer::global();
-        let tracing = trace.enabled();
         let mut cascade_span = SpanGuard::child("engine.cascade");
         let mut prev = w.core.stats();
         for &op in ops {
-            let op_start = if tracing { Some(Instant::now()) } else { None };
             apply_to_core(&mut w.core, op, &mut report);
             let cur = w.core.stats();
-            let triangles = (cur.triangles_added - prev.triangles_added)
-                + (cur.triangles_removed - prev.triangles_removed);
-            m.triangles_per_op.record(triangles);
-            if let Some(start) = op_start {
-                let (kind, u, v) = match op {
-                    WalOp::Insert(u, v) => ("insert", u, v),
-                    WalOp::Remove(u, v) => ("remove", u, v),
-                    WalOp::AddVertices(n) => ("add_vertices", n, 0),
-                };
-                trace.record(TraceRecord {
-                    at_unix_ms: tkc_obs::unix_millis(),
-                    kind,
-                    u,
-                    v,
-                    triangles,
-                    levels: (cur.promotions - prev.promotions) + (cur.demotions - prev.demotions),
-                    duration_nanos: start.elapsed().as_nanos() as u64,
-                });
-            }
+            m.triangles_per_op.record(
+                (cur.triangles_added - prev.triangles_added)
+                    + (cur.triangles_removed - prev.triangles_removed),
+            );
             prev = cur;
         }
         let stats = w.core.stats();
@@ -1108,9 +1088,7 @@ impl Engine {
         let parts = pack_graph(g, &supports, Some(w.core.kappa_slice()))
             .map_err(store_err)?
             .with_position(seq, term);
-        let mut mem = crate::repl::MemStorage::default();
-        parts.write_to_storage(&mut mem)?;
-        Ok((mem.into_bytes(), seq, term))
+        Ok((parts.to_bytes(), seq, term))
     }
 
     /// The κ-stamp of the writer's current state — the follower side of
@@ -1326,6 +1304,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
     use super::*;
+    use tkc_obs::TraceBuffer;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("tkc_engine_tests").join(name);
@@ -1512,25 +1491,8 @@ mod tests {
             assert!(text.contains(series), "missing {series:?} in:\n{text}");
         }
         // K5 has 10 triangles; each one is reported exactly once across
-        // the per-op records, so the histogram sum is the triangle count.
+        // the per-op samples, so the histogram sum is the triangle count.
         assert_eq!(engine.metrics().triangles_per_op.snapshot().sum, 10);
-    }
-
-    #[test]
-    fn tracing_captures_per_op_records_when_enabled() {
-        let _guard = crate::global_trace_test_guard();
-        let dir = temp_dir("trace");
-        let engine = Engine::open(manual_config(&dir)).unwrap();
-        let trace = TraceBuffer::global();
-        trace.set_enabled(true);
-        engine.apply(&clique_ops(0)).unwrap();
-        trace.set_enabled(false);
-        let records = trace.drain_ordered();
-        let inserts: Vec<_> = records.iter().filter(|r| r.kind == "insert").collect();
-        assert!(inserts.len() >= 10, "expected >=10 insert records");
-        // Closing edges of the growing clique touch triangles.
-        assert!(inserts.iter().any(|r| r.triangles > 0));
-        trace.clear();
     }
 
     #[test]

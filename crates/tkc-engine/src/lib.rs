@@ -34,8 +34,8 @@ pub mod server;
 pub mod wal;
 
 /// Serializes tests that toggle the process-global `TraceBuffer` (span
-/// and op-trace tests would otherwise shear each other's records when
-/// the test harness runs them on parallel threads).
+/// tests would otherwise shear each other's records when the test
+/// harness runs them on parallel threads).
 #[cfg(test)]
 pub(crate) fn global_trace_test_guard() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();

@@ -49,7 +49,7 @@ pub enum Command {
     Health,
     /// `SLO` — per-verb latency-objective status lines.
     Slo,
-    /// `TRACE n` — the last `n` trace/span records as JSONL.
+    /// `TRACE n` — the last `n` finished spans as JSONL.
     Trace(u32),
     /// `PROMOTE` — fence the old primary and make this follower
     /// writable at a higher term.

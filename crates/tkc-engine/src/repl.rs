@@ -56,7 +56,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tkc_core::dynamic::DynamicTriangleKCore;
-use tkc_faults::{FaultKind, FaultPlan, FaultSite, WalStorage};
+use tkc_faults::{FaultKind, FaultPlan, FaultSite};
 use tkc_obs::{Counter, Gauge, MetricsRegistry};
 
 use crate::engine::Engine;
@@ -1217,44 +1217,6 @@ fn tail_once(
 // Support
 // ---------------------------------------------------------------------
 
-/// In-memory [`WalStorage`] the bootstrap snapshot is packed into.
-#[derive(Debug, Default)]
-pub(crate) struct MemStorage {
-    buf: Vec<u8>,
-}
-
-impl MemStorage {
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-impl WalStorage for MemStorage {
-    fn read_all(&mut self) -> io::Result<Vec<u8>> {
-        Ok(self.buf.clone())
-    }
-
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> io::Result<()> {
-        let off = offset as usize;
-        if self.buf.len() < off + data.len() {
-            self.buf.resize(off + data.len(), 0);
-        }
-        if let Some(dst) = self.buf.get_mut(off..off + data.len()) {
-            dst.copy_from_slice(data);
-        }
-        Ok(())
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn set_len(&mut self, len: u64) -> io::Result<()> {
-        self.buf.resize(len as usize, 0);
-        Ok(())
-    }
-}
-
 fn lock_hub<'a>(m: &'a Mutex<HubState>) -> std::sync::MutexGuard<'a, HubState> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
@@ -1345,16 +1307,6 @@ mod tests {
             hub.collect_from(50, 100, Duration::from_millis(10)),
             Collected::Closed
         ));
-    }
-
-    #[test]
-    fn mem_storage_round_trips_writes() {
-        let mut m = MemStorage::default();
-        m.write_at(0, b"hello").unwrap();
-        m.write_at(5, b" world").unwrap();
-        assert_eq!(m.read_all().unwrap(), b"hello world");
-        m.set_len(5).unwrap();
-        assert_eq!(m.into_bytes(), b"hello");
     }
 
     #[test]

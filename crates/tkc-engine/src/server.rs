@@ -18,7 +18,7 @@
 //! | `STATS`        | `OK`, `key value` lines, `.`            | counters |
 //! | `METRICS`      | `OK`, Prometheus text lines, `.`        | counters |
 //! | `SLO`          | `OK`, per-verb objective lines, `.`     | SLO tracker |
-//! | `TRACE n`      | `OK`, last `n` trace/span JSONL lines, `.` | trace ring |
+//! | `TRACE n`      | `OK`, last `n` span JSONL lines, `.`    | trace ring |
 //! | `HEALTH`       | `OK serving` / `OK read_only <reason>`  | state machine |
 //! | `PING`         | `OK pong`                               | — |
 //! | `SHUTDOWN`     | `OK shutting down` (graceful stop)      | — |
@@ -946,9 +946,11 @@ mod tests {
         assert_eq!(c.send("TRACE 100"), "OK");
         let jsonl = c.read_until_dot();
         assert!(
-            jsonl
-                .iter()
-                .any(|l| l.contains("\"kind\":\"span\"") && l.contains("\"name\":\"INSERT\"")),
+            jsonl.iter().all(|l| l.contains("\"kind\":\"span\"")),
+            "every trace line is a span: {jsonl:?}"
+        );
+        assert!(
+            jsonl.iter().any(|l| l.contains("\"name\":\"INSERT\"")),
             "{jsonl:?}"
         );
         assert!(

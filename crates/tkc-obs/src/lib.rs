@@ -9,19 +9,18 @@
 //! - [`registry`] — [`MetricsRegistry`]: named atomic counters, gauges,
 //!   and log2-bucketed latency histograms with p50/p90/p99/max quantile
 //!   estimation, rendered in Prometheus text exposition format.
-//! - [`trace`] — [`TraceBuffer`]: a bounded ring of timestamped
-//!   span/event records (op kind, edge, triangles touched, κ-levels
-//!   visited, duration) with JSONL export. The *disabled* path is a
-//!   single relaxed atomic load — hot loops pay nothing unless an
-//!   operator turns tracing on.
+//! - [`trace`] — [`TraceBuffer`]: a bounded ring of finished request
+//!   spans with JSONL export. The *disabled* path is a single relaxed
+//!   atomic load — hot loops pay nothing unless an operator turns
+//!   tracing on.
 //! - [`logger`] — a leveled stderr logger controlled by the `TKC_LOG`
 //!   environment variable (`error`/`warn`/`info`/`debug`/`trace`), so
 //!   server diagnostics are filterable instead of unconditional
 //!   `eprintln!` noise.
 //! - [`span`] — [`SpanGuard`]: request-scoped span trees (trace id +
 //!   span id + parent id, monotonic timestamps, bounded attrs) recorded
-//!   into the same [`TraceBuffer`], plus the `--slow-op-ms` slow-op log
-//!   that prints a completed request's span tree.
+//!   into the [`TraceBuffer`], plus the `--slow-op-ms` slow-op log that
+//!   prints a completed request's span tree.
 //! - [`slo`] — [`SloTracker`]: per-verb rolling-window latency
 //!   objectives with error-budget burn-rate gauges on `/metrics`.
 //! - [`http`] — a tiny `std`-only HTTP/1.1 responder serving `/metrics`
@@ -33,8 +32,8 @@
 //!
 //! - metrics handles are pre-registered `Arc`s; recording is 1–4 relaxed
 //!   `fetch_add`s, no locks, no allocation;
-//! - tracing checks one relaxed [`TraceBuffer::enabled`] load before
-//!   building a record;
+//! - a span checks one relaxed [`TraceBuffer::enabled`] load before
+//!   opening;
 //! - kernel-level timers (worker pool, decompose phases) can be switched
 //!   off wholesale via [`set_kernel_instrumentation`], which is how
 //!   `bench_snapshot` *measures* the disabled overhead and asserts it
@@ -54,7 +53,7 @@ pub use logger::Level;
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use slo::{SloTarget, SloTracker};
 pub use span::{SpanContext, SpanGuard, SpanRecord};
-pub use trace::{TraceBuffer, TraceRecord};
+pub use trace::TraceBuffer;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;

@@ -13,9 +13,9 @@
 //! [`current`] on the sending side and re-enter it with
 //! [`SpanGuard::follow`] on the receiving side.
 //!
-//! Finished spans are recorded into [`TraceBuffer::global`] (same enable
-//! flag and JSONL export as the flat op trace); when spans are disabled
-//! a guard is a `None` and costs one relaxed atomic load.
+//! Finished spans are recorded into [`TraceBuffer::global`], the only
+//! thing that ring holds; while it is disabled a guard is a `None` and
+//! costs one relaxed atomic load.
 
 use crate::trace::TraceBuffer;
 use std::cell::RefCell;
@@ -124,8 +124,7 @@ pub struct SpanRecord {
 
 impl SpanRecord {
     /// Renders the span as one JSON object (no trailing newline). The
-    /// `"kind":"span"` discriminant keeps span lines distinguishable
-    /// from flat [`crate::TraceRecord`] lines in a merged JSONL stream.
+    /// `"kind":"span"` field is part of the line format readers check.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(192);
         let _ = write!(
@@ -175,7 +174,7 @@ impl SpanGuard {
     /// Opens a root span: a fresh trace id, no parent, regardless of any
     /// span already open on this thread.
     pub fn root(name: &'static str) -> SpanGuard {
-        if !TraceBuffer::global().spans_enabled() {
+        if !TraceBuffer::global().enabled() {
             return SpanGuard { inner: None };
         }
         Self::open(name, next_id(), 0)
@@ -184,7 +183,7 @@ impl SpanGuard {
     /// Opens a child of the innermost open span on this thread, or a
     /// root span if none is open.
     pub fn child(name: &'static str) -> SpanGuard {
-        if !TraceBuffer::global().spans_enabled() {
+        if !TraceBuffer::global().enabled() {
             return SpanGuard { inner: None };
         }
         match current() {
@@ -197,7 +196,7 @@ impl SpanGuard {
     /// batch queue hand-off): same trace id, explicit parent link. With
     /// `None` this degrades to [`SpanGuard::root`].
     pub fn follow(name: &'static str, parent: Option<SpanContext>) -> SpanGuard {
-        if !TraceBuffer::global().spans_enabled() {
+        if !TraceBuffer::global().enabled() {
             return SpanGuard { inner: None };
         }
         match parent {
@@ -270,7 +269,7 @@ impl Drop for SpanGuard {
 /// fsync split out of `AppendInfo`, decompose phase timings).
 pub fn record_manual(name: &'static str, duration: Duration) {
     let buf = TraceBuffer::global();
-    if !buf.spans_enabled() {
+    if !buf.enabled() {
         return;
     }
     let (trace_id, parent_id) = match current() {

@@ -199,6 +199,19 @@ impl StoreParts {
         Ok(total)
     }
 
+    /// The whole encoded store in one buffer: header, table, then the
+    /// sections, which tile the rest of the file in order. Byte-identical
+    /// to what [`StoreParts::write_to_storage`] writes.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.total_bytes() as usize);
+        out.extend_from_slice(&self.header.encode());
+        out.extend_from_slice(&self.encode_table());
+        for (_, bytes) in &self.sections {
+            out.extend_from_slice(bytes);
+        }
+        out
+    }
+
     /// Writes the store to `path` (truncating any previous contents) via
     /// [`DiskFile`] and syncs it. Callers needing atomic replacement
     /// write to a temporary path and rename, as the engine's compaction
@@ -262,6 +275,7 @@ mod tests {
         let (ba, bb) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
         assert_eq!(ba, bb);
         assert_eq!(ba.len() as u64, parts.total_bytes());
+        assert_eq!(parts.to_bytes(), ba, "in-memory bytes match the file");
         // Rewriting over a longer stale file truncates it.
         std::fs::write(&a, vec![0xFFu8; ba.len() + 500]).unwrap();
         parts.write_path(&a).unwrap();
