@@ -30,7 +30,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tkc_bench::{fmt_secs, host_json, seed_from_env, time};
+use tkc_bench::{fmt_secs, host_json, nproc, seed_from_env, time};
 use tkc_core::decompose::{triangle_kcore_decomposition_timed, PhaseTimings};
 use tkc_graph::csr::CsrGraph;
 use tkc_graph::{generators, triangles, Graph};
@@ -60,7 +60,10 @@ impl Sample {
         }
     }
 
-    fn to_json(&self) -> String {
+    /// The row as JSON; a row run on more threads than the host's
+    /// `nproc` carries `"oversubscribed":true`, so its timing reads as
+    /// contention, not scaling.
+    fn to_json(&self, nproc: usize) -> String {
         let phases = match &self.phases {
             Some(t) => format!(
                 ",\"phases\":{{\"freeze_millis\":{:.3},\"supports_millis\":{:.3},\"peel_millis\":{:.3}}}",
@@ -75,7 +78,7 @@ impl Sample {
                 "{{\"family\":\"{}\",\"vertices\":{},\"edges\":{},",
                 "\"wedge_work\":{},\"kernel\":\"{}\",\"threads\":{},",
                 "\"millis\":{:.3},\"ns_per_edge\":{:.2},",
-                "\"speedup_vs_hash_seq\":{:.3}{}}}"
+                "\"speedup_vs_hash_seq\":{:.3}{}{}}}"
             ),
             self.family,
             self.vertices,
@@ -87,6 +90,11 @@ impl Sample {
             self.ns_per_edge(),
             self.speedup_vs_hash_seq,
             phases,
+            if self.threads > nproc {
+                ",\"oversubscribed\":true"
+            } else {
+                ""
+            },
         )
     }
 }
@@ -497,7 +505,7 @@ fn main() {
 
     let rows: Vec<String> = samples
         .iter()
-        .map(|s| format!("    {}", s.to_json()))
+        .map(|s| format!("    {}", s.to_json(nproc())))
         .collect();
     let mode = if quick { "quick" } else { "full" };
     let json = format!(

@@ -42,12 +42,17 @@ pub fn fmt_secs(d: Duration) -> String {
     }
 }
 
+/// Logical CPUs the process may use (1 when unknown).
+pub fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// The `host` object a `BENCH_*.json` record carries: logical CPUs the
-/// process may use, the CPU model, the commit the binary was run from
+/// process may use ([`nproc`]), the CPU model, the commit the binary was run from
 /// (`git describe --always --dirty`: `-dirty` marks uncommitted edits;
 /// `unknown` outside a checkout), and the run mode.
 pub fn host_json(mode: &str) -> String {
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let nproc = nproc();
     let cpu = std::fs::read_to_string("/proc/cpuinfo")
         .ok()
         .and_then(|s| {

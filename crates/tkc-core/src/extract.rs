@@ -3,7 +3,7 @@
 //! hierarchy, and surfacing of exact cliques (an `n`-clique is precisely an
 //! `n`-vertex Triangle K-Core of number `n − 2`).
 
-use tkc_graph::components::{ComponentSummary, TriangleComponents};
+use tkc_graph::components::TriangleComponents;
 use tkc_graph::{EdgeId, Graph, VertexId};
 
 use crate::decompose::Decomposition;
@@ -52,18 +52,6 @@ pub fn cores_at_level(g: &Graph, decomp: &Decomposition, k: u32) -> Vec<Core> {
             vertices,
         })
         .collect()
-}
-
-/// The counts of [`cores_at_level`] — cores, their edges, the sum of
-/// their vertex counts — plus the kept edges and triangles the pass
-/// enumerated, from the same kernel but with no [`Core`] built. All
-/// zero, without a scan, above max κ.
-pub fn summary_at_level(g: &Graph, decomp: &Decomposition, k: u32) -> ComponentSummary {
-    assert!(k >= 1, "level-0 cores are the whole graph");
-    if k > decomp.max_kappa() {
-        return ComponentSummary::default();
-    }
-    TriangleComponents::new(g, |e| decomp.kappa(e) >= k).summary()
 }
 
 /// The maximum Triangle K-Core containing edge `e` (Definition 4): the
@@ -212,10 +200,9 @@ mod tests {
         for core in lvl2.iter().chain(&lvl3) {
             assert!(is_triangle_kcore(&g, &core.edges, core.level));
         }
-        // Above max κ both entry points answer empty.
+        // Above max κ: empty.
         assert_eq!(d.max_kappa(), 3);
         assert!(cores_at_level(&g, &d, 4).is_empty());
-        assert_eq!(summary_at_level(&g, &d, 4), ComponentSummary::default());
     }
 
     #[test]

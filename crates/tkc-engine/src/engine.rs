@@ -28,9 +28,9 @@ use std::time::Instant;
 
 use tkc_core::decompose::Decomposition;
 use tkc_core::dynamic::{DynamicTriangleKCore, UpdateStats};
-use tkc_core::extract::summary_at_level;
 use tkc_core::persist::{read_state_full, PersistError};
 use tkc_faults::{DiskFile, FaultFile, FaultPlan};
+use tkc_graph::components::{ComponentSummary, TrussTable};
 use tkc_graph::csr::edge_supports_csr;
 use tkc_graph::{Graph, VertexId};
 use tkc_obs::{Counter, Gauge, Histogram, MetricsRegistry, SpanGuard};
@@ -357,17 +357,6 @@ impl EngineMetrics {
     }
 }
 
-/// Summary of a `TRUSS k` query over one snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrussSummary {
-    /// Number of maximal Triangle K-Cores at the level.
-    pub cores: usize,
-    /// Edges across all of them.
-    pub edges: usize,
-    /// Vertices across all of them.
-    pub vertices: usize,
-}
-
 /// An immutable, atomically published view of the graph and its κ values.
 #[derive(Debug)]
 pub struct EpochSnapshot {
@@ -376,6 +365,9 @@ pub struct EpochSnapshot {
     decomp: Decomposition,
     stats: UpdateStats,
     ops_applied: u64,
+    /// Every level's `TRUSS` answer, built by the epoch's first
+    /// [`EpochSnapshot::truss`] call and never at publish.
+    truss_table: OnceLock<TrussTable>,
 }
 
 impl EpochSnapshot {
@@ -406,22 +398,25 @@ impl EpochSnapshot {
     }
 
     /// All maximal Triangle K-Cores of number ≥ `k` (`k` clamped to ≥ 1),
-    /// summarized: one pass of the extraction kernel over the κ ≥ k
-    /// edges, counting only. Records an `extract.truss` span (attributes
-    /// `k`, `kept` edges and `triangles` enumerated) under the current
-    /// request span when tracing is on.
-    pub fn truss(&self, k: u32) -> TrussSummary {
+    /// summarized; all zeros above max κ. The epoch's first call builds
+    /// the [`TrussTable`] of every level in one triangle pass, and every
+    /// call reads its answer from that table. Records an `extract.truss`
+    /// span (attribute `k`) under the current request span when tracing
+    /// is on, and under it, on the building call, an `extract.truss_table`
+    /// span (attributes `levels` and `triangles`).
+    pub fn truss(&self, k: u32) -> ComponentSummary {
         let k = k.max(1);
         let mut span = SpanGuard::child("extract.truss");
-        let s = summary_at_level(&self.graph, &self.decomp, k);
         span.attr("k", u64::from(k));
-        span.attr("kept", s.kept_edges as u64);
-        span.attr("triangles", s.triangles);
-        TrussSummary {
-            cores: s.components,
-            edges: s.edges,
-            vertices: s.vertices,
-        }
+        self.truss_table
+            .get_or_init(|| {
+                let mut build = SpanGuard::child("extract.truss_table");
+                let table = TrussTable::new(&self.graph, self.decomp.kappa_slice());
+                build.attr("levels", u64::from(table.max_level()));
+                build.attr("triangles", table.triangles());
+                table
+            })
+            .level(k)
     }
 
     /// Cumulative maintenance counters at publication time.
@@ -1238,6 +1233,7 @@ fn snapshot_of(w: &mut Writer, metrics: &EngineMetrics) -> EpochSnapshot {
         decomp,
         stats: w.cumulative,
         ops_applied: w.ops_applied,
+        truss_table: OnceLock::new(),
     }
 }
 
@@ -1304,6 +1300,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
     use super::*;
+    use tkc_core::extract::cores_at_level;
     use tkc_obs::TraceBuffer;
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -1351,7 +1348,7 @@ mod tests {
         assert_eq!(snap.kappa(0, 1), Some(3));
         assert_eq!(snap.kappa(0, 9), None);
         let t = snap.truss(3);
-        assert_eq!((t.cores, t.edges, t.vertices), (1, 10, 5));
+        assert_eq!((t.components, t.edges, t.vertices), (1, 10, 5));
     }
 
     #[test]
@@ -1564,7 +1561,7 @@ mod tests {
             let root = SpanGuard::root("TRUSS");
             trace_id = root.trace_id().unwrap();
             let t = snap.truss(3);
-            assert_eq!((t.cores, t.edges, t.vertices), (2, 20, 10));
+            assert_eq!((t.components, t.edges, t.vertices), (2, 20, 10));
         }
         trace.set_enabled(false);
         let spans = trace.spans_for_trace(trace_id);
@@ -1574,18 +1571,121 @@ mod tests {
             .find(|s| s.name == "extract.truss")
             .unwrap_or_else(|| panic!("missing extract.truss: {spans:?}"));
         assert_eq!(extract.parent_id, root.span_id);
-        // Two K5s: 20 kept edges, 2 × C(5,3) triangles.
-        for attr in [("k", 3), ("kept", 20), ("triangles", 20)] {
-            assert!(
-                extract.attrs.contains(&attr),
-                "{attr:?} in {:?}",
-                extract.attrs
-            );
+        assert_eq!(extract.attrs, [("k", 3)]);
+        let build = spans
+            .iter()
+            .find(|s| s.name == "extract.truss_table")
+            .unwrap_or_else(|| panic!("missing extract.truss_table: {spans:?}"));
+        assert_eq!(build.parent_id, extract.span_id);
+        // Two K5s: levels 1..=3, 2 × C(5,3) triangles.
+        assert_eq!(build.attrs, [("levels", 3), ("triangles", 20)]);
+
+        // A later TRUSS on the same epoch reads the table: no build span.
+        let again;
+        trace.set_enabled(true);
+        {
+            let root = SpanGuard::root("TRUSS");
+            again = root.trace_id().unwrap();
+            assert_eq!(snap.truss(1), snap.truss(2));
         }
+        trace.set_enabled(false);
+        let spans = trace.spans_for_trace(again);
+        assert_eq!(
+            spans.iter().filter(|s| s.name == "extract.truss").count(),
+            2
+        );
+        assert!(spans.iter().all(|s| s.name != "extract.truss_table"));
         trace.clear();
         // Off, the span is inert: nothing reaches the ring.
         snap.truss(3);
         assert!(trace.spans_for_trace(trace_id).is_empty());
+    }
+
+    #[test]
+    fn truss_after_a_publish_reflects_the_new_epoch() {
+        let dir = temp_dir("truss_publish");
+        let engine = Engine::open(manual_config(&dir)).unwrap();
+        engine.apply(&clique_ops(0)).unwrap();
+        engine.publish();
+        let old = engine.snapshot();
+        let t = old.truss(3);
+        assert_eq!((t.components, t.edges, t.vertices), (1, 10, 5));
+        assert_eq!(old.truss(4), ComponentSummary::default());
+
+        // A second K5 and one edge out of the first: κ changes at
+        // every level the old table answered.
+        engine.apply(&clique_ops(10)).unwrap();
+        engine.apply(&[WalOp::Remove(0, 1)]).unwrap();
+        engine.publish();
+        let new = engine.snapshot();
+        for k in 0..=4 {
+            let want = {
+                let cores = cores_at_level(new.graph(), new.decomposition(), k.max(1));
+                ComponentSummary {
+                    components: cores.len(),
+                    edges: cores.iter().map(|c| c.edges.len()).sum(),
+                    vertices: cores.iter().map(|c| c.vertices.len()).sum(),
+                }
+            };
+            assert_eq!(new.truss(k), want, "k {k}");
+        }
+        let t = new.truss(3);
+        assert_eq!((t.components, t.edges, t.vertices), (1, 10, 5));
+        assert_eq!(new.truss(2).components, 2);
+        // The old epoch keeps its own table.
+        assert_eq!(old.truss(3).components, 1);
+        assert_eq!(old.truss(2).edges, 10);
+    }
+
+    #[test]
+    fn concurrent_truss_callers_share_one_build() {
+        let _guard = crate::global_trace_test_guard();
+        let dir = temp_dir("truss_concurrent");
+        let engine = Engine::open(manual_config(&dir)).unwrap();
+        for base in [0, 10, 20] {
+            engine.apply(&clique_ops(base)).unwrap();
+        }
+        engine
+            .apply(&[
+                WalOp::Insert(4, 10),
+                WalOp::Insert(4, 11),
+                WalOp::Insert(10, 11),
+            ])
+            .unwrap();
+        engine.publish();
+        let snap = engine.snapshot();
+        let trace = TraceBuffer::global();
+        trace.set_enabled(true);
+        let barrier = std::sync::Barrier::new(4);
+        let runs: Vec<(u64, Vec<ComponentSummary>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let root = SpanGuard::root("TRUSS");
+                        barrier.wait();
+                        let answers = (0..=5).map(|k| snap.truss(k)).collect();
+                        (root.trace_id().unwrap(), answers)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        trace.set_enabled(false);
+        let builds: usize = runs
+            .iter()
+            .map(|(id, _)| {
+                trace
+                    .spans_for_trace(*id)
+                    .iter()
+                    .filter(|s| s.name == "extract.truss_table")
+                    .count()
+            })
+            .sum();
+        assert_eq!(builds, 1);
+        let (_, first) = &runs[0];
+        assert!(runs.iter().all(|(_, answers)| answers == first));
+        assert_eq!(first[3].components, 3);
+        trace.clear();
     }
 
     #[test]

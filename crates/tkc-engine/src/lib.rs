@@ -46,7 +46,7 @@ pub(crate) fn global_trace_test_guard() -> std::sync::MutexGuard<'static, ()> {
 
 pub use engine::{
     import_text_snapshot, ApplyReport, Engine, EngineConfig, EngineMetrics, EpochSnapshot,
-    TrussSummary, STATE_FILE, STORE_FILE, WAL_FILE,
+    STATE_FILE, STORE_FILE, WAL_FILE,
 };
 pub use error::{EngineError, EngineState};
 pub use repl::{start as start_replication, ReplOptions, ReplServer, Role};

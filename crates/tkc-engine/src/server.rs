@@ -666,7 +666,7 @@ fn respond(
             writeln!(
                 out,
                 "OK cores={} edges={} vertices={}",
-                t.cores, t.edges, t.vertices
+                t.components, t.edges, t.vertices
             )?;
         }
         Command::Insert(u, v) => match engine.insert(u, v) {

@@ -28,6 +28,16 @@ struct Ring {
     total: u64,
 }
 
+impl Ring {
+    /// The retained spans, oldest first, borrowed in place: until the
+    /// ring first fills, `next` is the length and the first half is
+    /// empty.
+    fn oldest_first(&self) -> impl Iterator<Item = &SpanRecord> {
+        let (newest, oldest) = self.spans.split_at(self.next.min(self.spans.len()));
+        oldest.iter().chain(newest)
+    }
+}
+
 /// A fixed-capacity ring of span records behind an atomic enable flag.
 #[derive(Debug)]
 pub struct TraceBuffer {
@@ -97,24 +107,24 @@ impl TraceBuffer {
 
     /// The retained spans, oldest first.
     pub fn drain_spans(&self) -> Vec<SpanRecord> {
-        let ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
-        if ring.spans.len() < self.capacity {
-            ring.spans.clone()
-        } else {
-            let mut out = Vec::with_capacity(self.capacity);
-            let (newest, oldest) = ring.spans.split_at(ring.next.min(ring.spans.len()));
-            out.extend_from_slice(oldest);
-            out.extend_from_slice(newest);
-            out
-        }
+        self.ring
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .oldest_first()
+            .cloned()
+            .collect()
     }
 
     /// The retained spans belonging to one trace, oldest first (used by
-    /// the slow-op log to reconstruct a request's tree).
+    /// the slow-op log to reconstruct a request's tree). Filters under
+    /// the ring lock, so only the trace's own spans are copied.
     pub fn spans_for_trace(&self, trace_id: u64) -> Vec<SpanRecord> {
-        self.drain_spans()
-            .into_iter()
+        self.ring
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .oldest_first()
             .filter(|s| s.trace_id == trace_id)
+            .cloned()
             .collect()
     }
 
@@ -126,12 +136,16 @@ impl TraceBuffer {
     }
 
     /// The last `n` lines of [`TraceBuffer::export_all_jsonl`] (the
-    /// `TRACE <n>` wire verb).
+    /// `TRACE <n>` wire verb). Only the newest `n` spans are copied out
+    /// of the ring; they render after the lock is released.
     pub fn tail_jsonl(&self, n: usize) -> String {
-        let spans = self.drain_spans();
-        let skip = spans.len().saturating_sub(n);
-        let mut out = String::with_capacity((spans.len() - skip) * 192);
-        for s in spans.iter().skip(skip) {
+        let spans: Vec<SpanRecord> = {
+            let ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
+            let skip = ring.spans.len().saturating_sub(n);
+            ring.oldest_first().skip(skip).cloned().collect()
+        };
+        let mut out = String::with_capacity(spans.len() * 192);
+        for s in &spans {
             out.push_str(&s.to_json());
             out.push('\n');
         }
@@ -255,6 +269,29 @@ mod tests {
         assert_eq!(tail, format!("{}\n{}\n", lines[1], lines[2]));
         assert_eq!(buf.tail_jsonl(10), all);
         assert!(buf.tail_jsonl(0).is_empty());
+    }
+
+    #[test]
+    fn tail_of_a_wrapped_ring_is_its_newest_spans() {
+        let buf = TraceBuffer::new(4);
+        buf.set_enabled(true);
+        for i in 0..10 {
+            buf.record_span(span(i));
+        }
+        // Slots now hold 8, 9, 6, 7: the tail crosses the wrap point.
+        let all = buf.export_all_jsonl();
+        let lines: Vec<&str> = all.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert!(lines[0].contains("\"span_id\":\"0000000000000006\""));
+        assert_eq!(
+            buf.tail_jsonl(3),
+            format!("{}\n{}\n{}\n", lines[1], lines[2], lines[3])
+        );
+        assert_eq!(buf.tail_jsonl(1), format!("{}\n", lines[3]));
+        assert!(lines[3].contains("\"span_id\":\"0000000000000009\""));
+        assert_eq!(buf.tail_jsonl(4), all);
+        let even: Vec<u64> = buf.spans_for_trace(0).iter().map(|s| s.span_id).collect();
+        assert_eq!(even, vec![6, 8]);
     }
 
     #[test]

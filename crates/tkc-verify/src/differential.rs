@@ -147,7 +147,7 @@ pub struct Mismatch {
     /// κ from the from-scratch recompute.
     pub fresh: u32,
     /// Which oracle disagreed (for deep oracles: `"naive"`/`"certificate"`;
-    /// for extraction: `"core-extraction"`/`"core-summary"`, see
+    /// for extraction: `"core-extraction"`/`"truss-table"`, see
     /// [`crate::extraction::check_core_extraction`]).
     pub oracle: &'static str,
 }

@@ -1,12 +1,12 @@
 //! Reference oracle for Triangle K-Core extraction: a breadth-first walk
 //! over triangles that shares no code with the production kernel
 //! ([`tkc_graph::components::TriangleComponents`]), and
-//! [`check_core_extraction`], which holds the kernel's cores and its
-//! count-only summary to the walk at every level.
+//! [`check_core_extraction`], which holds the kernel's cores and the
+//! per-level [`TrussTable`] to the walk at every level.
 
 use tkc_core::decompose::Decomposition;
-use tkc_core::extract::{cores_at_level, summary_at_level};
-use tkc_graph::components::edge_set_vertices;
+use tkc_core::extract::cores_at_level;
+use tkc_graph::components::{edge_set_vertices, TrussTable};
 use tkc_graph::{EdgeId, Graph, VertexId};
 
 use crate::differential::Mismatch;
@@ -68,14 +68,16 @@ where
 /// edge-id indexed, dead slots ignored): at every level `k` from 1 to
 /// max κ + 1, [`cores_at_level`] must list the same cores as the BFS
 /// oracle — same order, same member edges, same sorted vertices — and
-/// [`summary_at_level`] must report the same core, edge and vertex
-/// totals. On a disagreement the [`Mismatch`] names the first edge of the
-/// first differing core (`(u32::MAX, u32::MAX)` when a total differs) and
-/// carries the kernel's and the oracle's core counts at that level
-/// (`dynamic` / `fresh`), or for `core-summary` the differing totals.
+/// the [`TrussTable`] built once for all levels must report the same
+/// core, edge and vertex totals. On a disagreement the [`Mismatch`] names
+/// the first edge of the first differing core (`(u32::MAX, u32::MAX)`
+/// when a total differs) and carries the kernel's and the oracle's core
+/// counts at that level (`dynamic` / `fresh`), or for `truss-table` the
+/// differing totals.
 pub fn check_core_extraction(g: &Graph, kappa: &[u32]) -> Result<(), Mismatch> {
     let decomp = Decomposition::from_kappa(g, kappa.to_vec());
     let kappa_of = |e: EdgeId| kappa.get(e.index()).copied().unwrap_or(0);
+    let table = TrussTable::new(g, kappa);
     for k in 1..=decomp.max_kappa() + 1 {
         let oracle: Vec<(Vec<EdgeId>, Vec<VertexId>)> =
             triangle_connected_components_bfs(g, |e| kappa_of(e) >= k)
@@ -107,7 +109,7 @@ pub fn check_core_extraction(g: &Graph, kappa: &[u32]) -> Result<(), Mismatch> {
                 oracle: "core-extraction",
             });
         }
-        let summary = summary_at_level(g, &decomp, k);
+        let summary = table.level(k);
         let want = [
             oracle.len(),
             oracle.iter().map(|(edges, _)| edges.len()).sum(),
@@ -119,7 +121,7 @@ pub fn check_core_extraction(g: &Graph, kappa: &[u32]) -> Result<(), Mismatch> {
                 edge: (u32::MAX, u32::MAX),
                 dynamic: got as u32,
                 fresh: want as u32,
-                oracle: "core-summary",
+                oracle: "truss-table",
             });
         }
     }

@@ -19,7 +19,8 @@
 //!   shrinking failures to minimal ready-to-paste reproductions;
 //! * [`extraction`] — the BFS reference for Triangle K-Core extraction
 //!   and [`extraction::check_core_extraction`], which holds the production
-//!   kernel's cores and counts to it at every level.
+//!   kernel's cores and the per-level truss table's counts to it at every
+//!   level.
 //!
 //! ```
 //! use tkc_core::decompose::triangle_kcore_decomposition;

@@ -1,6 +1,7 @@
-//! Kernel ≡ BFS oracle for Triangle K-Core extraction on the full
-//! 1.57M-edge `streamed` bench graph, at every level, with both sides
-//! timed per level. Too slow for the default suite; run it with
+//! Kernel and truss table ≡ BFS oracle for Triangle K-Core extraction on
+//! the full 1.57M-edge `streamed` bench graph, at every level, with the
+//! oracle and the kernel timed per level and the table's one build timed
+//! beside them. Too slow for the default suite; run it with
 //!
 //! ```sh
 //! cargo test --release -p tkc-verify --test extraction_scale -- --ignored --nocapture
@@ -13,10 +14,10 @@
 use std::time::Instant;
 
 use tkc_core::decompose::Decomposition;
-use tkc_core::extract::{cores_at_level, summary_at_level};
+use tkc_core::extract::cores_at_level;
 use tkc_datasets::streamed::build_graph;
 use tkc_datasets::StreamedConfig;
-use tkc_graph::components::edge_set_vertices;
+use tkc_graph::components::{edge_set_vertices, TrussTable};
 use tkc_verify::{check_core_extraction, triangle_connected_components_bfs};
 
 #[test]
@@ -35,10 +36,15 @@ fn kernel_matches_oracle_at_every_level_of_the_bench_graph() {
         let g = build_graph(&StreamedConfig::bench(seed));
         let d = Decomposition::compute_with(&g, 1);
         check_core_extraction(&g, d.kappa_slice())
-            .unwrap_or_else(|m| panic!("seed {seed}: kernel and oracle differ: {m:?}"));
+            .unwrap_or_else(|m| panic!("seed {seed}: extraction and oracle differ: {m:?}"));
 
-        let (mut oracle_total, mut cores_total, mut summary_total) = (0.0, 0.0, 0.0);
-        let mut summary_ms = Vec::new();
+        let start = Instant::now();
+        let table = TrussTable::new(&g, d.kappa_slice());
+        let table_s = start.elapsed().as_secs_f64();
+        assert_eq!(table.max_level(), d.max_kappa(), "seed {seed}");
+
+        let (mut oracle_total, mut cores_total) = (0.0, 0.0);
+        let mut cores_ms = Vec::new();
         for k in 1..=d.max_kappa() {
             let start = Instant::now();
             let oracle: Vec<_> = triangle_connected_components_bfs(&g, |e| d.kappa(e) >= k)
@@ -49,34 +55,31 @@ fn kernel_matches_oracle_at_every_level_of_the_bench_graph() {
             let start = Instant::now();
             let cores = cores_at_level(&g, &d, k);
             let cores_s = start.elapsed().as_secs_f64();
-            let start = Instant::now();
-            let summary = summary_at_level(&g, &d, k);
-            let summary_s = start.elapsed().as_secs_f64();
+            let row = table.level(k);
             std::hint::black_box((oracle.len(), cores.len()));
             oracle_total += oracle_s;
             cores_total += cores_s;
-            summary_total += summary_s;
-            summary_ms.push(summary_s * 1e3);
+            cores_ms.push(cores_s * 1e3);
             println!(
-                "seed {seed} k {k:2}: {:3} cores {:8} edges {:8} kept {:8} triangles | \
-                 oracle {:6.1} ms, cores_at_level {:6.1} ms, summary {:6.1} ms",
-                summary.components,
-                summary.edges,
-                summary.kept_edges,
-                summary.triangles,
+                "seed {seed} k {k:2}: {:3} cores {:8} edges {:8} vertices | \
+                 oracle {:6.1} ms, cores_at_level {:6.1} ms",
+                row.components,
+                row.edges,
+                row.vertices,
                 oracle_s * 1e3,
-                cores_s * 1e3,
-                summary_s * 1e3
+                cores_s * 1e3
             );
         }
-        summary_ms.sort_by(f64::total_cmp);
+        cores_ms.sort_by(f64::total_cmp);
         println!(
-            "seed {seed}: {} edges, levels 1..={}: oracle {oracle_total:.2} s, \
-             cores_at_level {cores_total:.2} s, summary {summary_total:.2} s \
-             (median level {:.1} ms)",
+            "seed {seed}: {} edges, {} triangles, levels 1..={}: oracle {oracle_total:.2} s, \
+             cores_at_level {cores_total:.2} s (median level {:.1} ms), \
+             truss table (all levels, one build) {:.1} ms",
             g.num_edges(),
+            table.triangles(),
             d.max_kappa(),
-            summary_ms[summary_ms.len() / 2]
+            cores_ms[cores_ms.len() / 2],
+            table_s * 1e3
         );
     }
 }

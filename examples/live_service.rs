@@ -94,7 +94,7 @@ fn main() {
     println!(
         "  top truss (k = {}): {} components over {} edges / {} vertices",
         snap.max_kappa(),
-        truss.cores,
+        truss.components,
         truss.edges,
         truss.vertices
     );
