@@ -295,19 +295,13 @@ fn replication_phase(bin: &str, quick: bool, seed: u64) -> String {
     primary.stream.write_all(batch.as_bytes()).expect("preload");
     let mut line = String::new();
     primary.reader.read_line(&mut line).expect("preload reply");
-    assert!(line.starts_with("OK queued"), "preload -> {line}");
+    assert_eq!(line.trim_end(), format!("OK queued {preload_edges}"));
+    // The reply means the batch is applied: the primary's seq covers it.
+    let preloaded = format!("seq {preload_edges}");
+    assert!(primary.send_block("STATS").contains(&preloaded));
     assert!(primary.send("EPOCH").starts_with("OK"));
     let mut follower = Client::connect(f_addr);
-    let drained = |c: &mut Client| {
-        let stats = c.send_block("STATS");
-        let get = |key: &str| {
-            stats
-                .iter()
-                .find_map(|l| l.strip_prefix(key).map(|v| v.trim().to_string()))
-                .unwrap_or_default()
-        };
-        get("repl_lag_seq ") == "0" && get("repl_ops_applied ") != "0"
-    };
+    let drained = |c: &mut Client| c.send_block("STATS").contains(&preloaded);
     let deadline = Instant::now() + Duration::from_secs(30);
     while !drained(&mut follower) {
         assert!(
@@ -531,8 +525,8 @@ fn main() {
         }
     });
 
-    // Preload a seeded graph through the batch-ingest path, then force
-    // an epoch so reads hit a populated snapshot.
+    // Preload a seeded graph in one BATCH, then force an epoch so reads
+    // hit a populated snapshot.
     let mut setup = Client::connect(addr);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut batch = format!("BATCH {preload_edges}\n");
@@ -544,7 +538,10 @@ fn main() {
     setup.stream.write_all(batch.as_bytes()).expect("preload");
     let mut line = String::new();
     setup.reader.read_line(&mut line).expect("preload reply");
-    assert!(line.starts_with("OK queued"), "preload -> {line}");
+    assert_eq!(line.trim_end(), format!("OK queued {preload_edges}"));
+    // The reply means the batch is applied, so the epoch below holds it.
+    let stats = setup.send_block("STATS");
+    assert!(stats.contains(&format!("ops_applied {preload_edges}")));
     assert!(setup.send("EPOCH").starts_with("OK"));
 
     // Open-loop load phase.

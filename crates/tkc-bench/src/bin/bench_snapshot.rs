@@ -8,8 +8,9 @@
 //! machine-readable record `BENCH_decompose.json` so every future perf
 //! PR appends to a trajectory instead of claiming speedups in prose.
 //! The headline is the end-to-end decomposition
-//! speedup over the sequential bucket peel, gated at >=1.2x in every
-//! mode (quick mode is the CI smoke). Version 4 adds the span-recording
+//! speedup over the sequential bucket peel, gated at >=1.2x at 1 thread
+//! and at the host's `nproc` threads in every mode (quick mode is the CI
+//! smoke). Version 4 adds the span-recording
 //! overhead gate on the engine apply path next to the original kernel
 //! instrumentation gate — both enforce the <2% observability budget.
 //!
@@ -442,9 +443,21 @@ fn main() {
     // several-fold.
     let reps = if quick { 3 } else { 7 };
     let thread_counts: &[usize] = if quick { &[2] } else { &[2, 4] };
+    // The regression gate reads the 1-thread row (the algorithm) and the
+    // `nproc`-thread row (scaling on threads the host has).
+    let mut gate_threads = vec![1, nproc()];
+    gate_threads.dedup();
     // End-to-end decomposition scaling curve; quick mode keeps only the
-    // thread count the CI regression gate reads.
-    let decomp_threads: &[usize] = if quick { &[4] } else { &[1, 2, 4, 8] };
+    // thread counts the gate reads.
+    let mut decomp_threads = if quick {
+        gate_threads.clone()
+    } else {
+        vec![1, 2, 4, 8]
+    };
+    if !decomp_threads.contains(&nproc()) {
+        decomp_threads.push(nproc());
+        decomp_threads.sort_unstable();
+    }
 
     // Graph families: a scale-free clustered graph at >=100k edges (the
     // acceptance-gate workload), a community graph, and a dense clique
@@ -474,31 +487,43 @@ fn main() {
         if quick { "quick" } else { "full" }
     );
     for (family, g) in &families {
-        bench_family(family, g, thread_counts, decomp_threads, reps, &mut samples);
+        bench_family(
+            family,
+            g,
+            thread_counts,
+            &decomp_threads,
+            reps,
+            &mut samples,
+        );
     }
 
     // Regression gate on the acceptance workload (the first family, the
     // >=100k-edge scale-free graph in full mode): the level-synchronous
-    // peel at 4 threads must beat the bucket-peel decomposition by at
-    // least 1.2x, or the bench aborts — CI runs this in quick mode so an
-    // end-to-end perf regression fails the build, not just the trajectory.
+    // peel at 1 thread and at `nproc` threads must each beat the
+    // bucket-peel decomposition by at least 1.2x, or the bench aborts —
+    // CI runs this in quick mode so an end-to-end perf regression fails
+    // the build, not just the trajectory.
     let gate_family = families[0].0;
-    let seq = samples
+    let gate_ratios: Vec<String> = gate_threads
         .iter()
-        .find(|s| s.family == gate_family && s.kernel == "decompose_seq")
-        .map(|s| s.elapsed)
-        .expect("decompose_seq sample missing");
-    let par4 = samples
-        .iter()
-        .find(|s| s.family == gate_family && s.kernel == "decompose_csr_parallel" && s.threads == 4)
-        .map(|s| s.elapsed)
-        .expect("decompose_csr_parallel@4 sample missing");
-    let ratio = seq.as_secs_f64() / par4.as_secs_f64().max(1e-12);
-    assert!(
-        ratio >= 1.2,
-        "decompose regression gate: decompose_csr_parallel@4 is only {ratio:.2}x \
-         decompose_seq on {gate_family} (need >=1.2x)"
-    );
+        .map(|&threads| {
+            let ratio = samples
+                .iter()
+                .find(|s| {
+                    s.family == gate_family
+                        && s.kernel == "decompose_csr_parallel"
+                        && s.threads == threads
+                })
+                .map(|s| s.speedup_vs_hash_seq)
+                .expect("gated decompose_csr_parallel sample missing");
+            assert!(
+                ratio >= 1.2,
+                "decompose regression gate: decompose_csr_parallel@{threads} is only \
+                 {ratio:.2}x decompose_seq on {gate_family} (need >=1.2x)"
+            );
+            format!("{ratio:.2}x at {threads}t")
+        })
+        .collect();
 
     let overhead = instrumentation_overhead_gate(&families[0].1, thread_counts, reps);
     let span_overhead = span_overhead_gate(reps, seed);
@@ -530,8 +555,8 @@ fn main() {
         .map(|s| format!("{}t={:.2}x", s.threads, s.speedup_vs_hash_seq))
         .collect();
     println!(
-        "headline: decompose {ratio:.2}x over seq at 4 threads on {gate_family} \
-         (scaling: {})",
+        "headline: decompose {} over seq on {gate_family} (scaling: {})",
+        gate_ratios.join(", "),
         curve.join(" "),
     );
 }

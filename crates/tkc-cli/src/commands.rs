@@ -33,9 +33,9 @@ pub const USAGE: &str = "usage:
   tkc verify    <edges.txt> [--ops <ops.txt>] [--threads N]
   tkc verify    --suite [--cases N]
   tkc serve     <state-dir> [--addr host:port] [--epoch-ops N]
-                [--compact-bytes N] [--queue-cap N]
-                [--idle-timeout-ms N] [--max-conns N]
-                [--max-line-bytes N] [--request-budget N]
+                [--compact-bytes N] [--idle-timeout-ms N]
+                [--max-conns N] [--max-line-bytes N]
+                [--request-budget N]
                 [--recover-backoff-ms N] [--no-fsync]
                 [--failpoint site=kind@trigger[xN],...]
                 [--repl-addr host:port | --follow host:port]
@@ -104,7 +104,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             "addr",
             "epoch-ops",
             "compact-bytes",
-            "queue-cap",
             "read-timeout-ms",
             "idle-timeout-ms",
             "max-conns",
@@ -907,7 +906,6 @@ fn serve(p: &crate::args::Parsed) -> Result<(), String> {
     let defaults = ServeOptions::default();
     let opts = ServeOptions {
         read_timeout: std::time::Duration::from_millis(idle_ms),
-        queue_cap: p.flag_parse("queue-cap", 128usize)?,
         max_conns: p.flag_parse("max-conns", defaults.max_conns)?,
         max_line_bytes: p.flag_parse("max-line-bytes", defaults.max_line_bytes)?,
         request_budget: p.flag_parse("request-budget", defaults.request_budget)?,

@@ -23,7 +23,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, TryLockError};
 use std::time::Instant;
 
 use tkc_core::decompose::Decomposition;
@@ -101,7 +101,7 @@ impl EngineConfig {
 
 /// Handles onto the engine's [`MetricsRegistry`]: lock-free counters,
 /// gauges, and latency histograms shared by the write path (engine) and
-/// the serving layer. The first eleven counters carry the exact names the
+/// the serving layer. The first ten counters carry the exact names the
 /// old ad-hoc struct rendered in `STATS`; the registry additionally
 /// exposes every handle as a Prometheus series (`METRICS` command /
 /// `--metrics-addr` scrape endpoint).
@@ -127,8 +127,6 @@ pub struct EngineMetrics {
     pub queries_served: Counter,
     /// Connections accepted (maintained by the server).
     pub connections: Counter,
-    /// Batches accepted into the bounded ingest queue.
-    pub batches_enqueued: Counter,
 
     /// WAL append batches written.
     pub wal_appends: Counter,
@@ -150,12 +148,8 @@ pub struct EngineMetrics {
     pub snapshot_age_seconds: Gauge,
     /// Connections currently open (maintained by the server).
     pub active_connections: Gauge,
-    /// Batches sitting in the bounded ingest queue.
-    pub batch_queue_depth: Gauge,
-    /// BATCH commands that found the ingest queue full and blocked.
+    /// Writes that found the writer lock held and waited for it.
     pub backpressure_waits: Counter,
-    /// Batches drained from the queue and applied by the ingest thread.
-    pub batches_applied: Counter,
 
     /// Transitions into the read-only (degraded) state.
     pub degraded_total: Counter,
@@ -223,10 +217,6 @@ impl EngineMetrics {
                 "Read queries served from snapshots",
             ),
             connections: reg.counter("tkc_server_connections_total", "Connections accepted"),
-            batches_enqueued: reg.counter(
-                "tkc_server_batches_enqueued_total",
-                "Batches accepted into the bounded ingest queue",
-            ),
             wal_appends: reg.counter("tkc_engine_wal_appends_total", "WAL append batches written"),
             wal_bytes: reg.counter("tkc_engine_wal_bytes_total", "Encoded WAL bytes written"),
             wal_append_seconds: reg.histogram_seconds(
@@ -257,17 +247,9 @@ impl EngineMetrics {
                 "tkc_server_active_connections",
                 "Connections currently open",
             ),
-            batch_queue_depth: reg.gauge(
-                "tkc_server_batch_queue_depth",
-                "Batches sitting in the bounded ingest queue",
-            ),
             backpressure_waits: reg.counter(
                 "tkc_server_backpressure_waits_total",
-                "BATCH commands that found the ingest queue full and blocked",
-            ),
-            batches_applied: reg.counter(
-                "tkc_server_batches_applied_total",
-                "Batches drained from the queue and applied",
+                "Writes that found the writer lock held and waited for it",
             ),
             degraded_total: reg.counter(
                 "tkc_engine_degraded_total",
@@ -772,7 +754,14 @@ impl Engine {
         // the serving request's span when one is open on this thread.
         let mut apply_span = SpanGuard::child("engine.apply");
         apply_span.attr("ops", ops.len() as u64);
-        let mut w = lock_writer(&self.writer);
+        let mut w = match self.writer.try_lock() {
+            Ok(w) => w,
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => {
+                m.backpressure_waits.inc();
+                lock_writer(&self.writer)
+            }
+        };
         // State and validation checks live under the writer lock so a
         // degrading batch and its successor cannot interleave.
         match (self.state(), replicated) {
@@ -950,7 +939,6 @@ impl Engine {
             ("recovery_torn_bytes", m.recovery_torn_bytes.get()),
             ("queries_served", m.queries_served.get()),
             ("connections", m.connections.get()),
-            ("batches_enqueued", m.batches_enqueued.get()),
             ("triangles_added", stats.triangles_added),
             ("triangles_removed", stats.triangles_removed),
             ("promotions", stats.promotions),

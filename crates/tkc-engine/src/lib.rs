@@ -11,8 +11,8 @@
 //!   publishes immutable [`EpochSnapshot`]s (graph + κ) that
 //!   readers share by cloning an `Arc`; queries never wait on ingest.
 //! - [`server`] — [`Server`], the `tkc serve` TCP front-end: a
-//!   line-oriented text protocol with synchronous durable writes, snapshot
-//!   reads, a bounded batch-ingest queue with backpressure, and graceful
+//!   line-oriented text protocol whose writes (`INSERT`, `REMOVE`,
+//!   `BATCH`) are acknowledged once durable, snapshot reads, and graceful
 //!   shutdown.
 //!
 //! Everything is `std`-only: no async runtime, no external crates.

@@ -13,7 +13,7 @@
 //! | `TRUSS k`      | `OK cores=<c> edges=<m> vertices=<n>`   | snapshot |
 //! | `INSERT u v`   | `OK kappa=<κ>` / `OK noop`              | durable, read-your-write |
 //! | `REMOVE u v`   | `OK removed` / `OK noop`                | durable |
-//! | `BATCH n` + n op lines (`+ u v` / `- u v`) | `OK queued <n>` | bounded queue |
+//! | `BATCH n` + n op lines (`+ u v` / `- u v`) | `OK queued <n>` | durable |
 //! | `EPOCH`        | `OK <epoch>` (forces publication)       | writer |
 //! | `STATS`        | `OK`, `key value` lines, `.`            | counters |
 //! | `METRICS`      | `OK`, Prometheus text lines, `.`        | counters |
@@ -25,14 +25,19 @@
 //! | `QUIT`         | `OK bye` (closes this connection)       | — |
 //!
 //! Reads (`KAPPA`/`MAXK`/`TRUSS`) are answered from the current epoch
-//! snapshot and never block on ingest. `INSERT`/`REMOVE` are applied
-//! synchronously (WAL-durable when the `OK` is on the wire) and `INSERT`
-//! reports the edge's κ immediately. `BATCH` trades that read-your-write
-//! for throughput: ops go into a **bounded** queue consumed by a single
-//! ingest thread, and the `send` blocks when the queue is full — clients
-//! feel backpressure instead of the server buffering unboundedly. Queued
-//! batches are acknowledged as *queued*, not yet durable; graceful
-//! shutdown drains the queue before the final compaction.
+//! snapshot and never block on ingest. Every write is applied on its
+//! connection's thread and is WAL-durable when the `OK` is on the wire:
+//! `INSERT` reports the edge's κ, and `BATCH` reads its `n` op lines,
+//! applies them as one [`Engine::apply`] (one WAL append and fsync) and
+//! only then answers. `queued` in its reply is a wire-compatibility token
+//! from when batches went through a queue; it now means *durable*. A
+//! malformed op line answers one `ERR batch op <i>` after the rest of the
+//! batch's lines are read and discarded, so they never run as commands.
+//! Writers that find the writer lock held wait for it (counted in
+//! `tkc_server_backpressure_waits_total`); a client with one request in
+//! flight per connection cannot make the server buffer unboundedly.
+//! Graceful shutdown joins the connection threads, each finished with
+//! its apply, then publishes and compacts.
 //!
 //! ## Degraded mode and recovery
 //!
@@ -58,10 +63,9 @@
 //! When span tracing is on (`--trace-out` / `--slow-op-ms`), every
 //! request records a span tree: a per-connection `conn` root, a `parse`
 //! child per line, and a per-request span named after the verb whose
-//! children cover the batch-queue wait (`queue.wait`), the engine apply
-//! (`engine.apply` → `engine.wal_append` → `engine.wal_fsync`,
-//! `engine.cascade`, `engine.publish`), and — for queued batches — the
-//! cross-thread `engine.ingest` continuation. A request slower than
+//! children cover the engine apply (`engine.apply` →
+//! `engine.wal_append` → `engine.wal_fsync`, `engine.cascade`,
+//! `engine.publish`). A request slower than
 //! [`ServeOptions::slow_op`] logs its completed tree at `warn` level and
 //! bumps `tkc_server_slow_ops_total`. Per-verb latency objectives
 //! ([`ServeOptions::slo`]) feed an [`SloTracker`] whose burn-rate gauges
@@ -70,17 +74,15 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tkc_obs::{Counter, Histogram, SloTarget, SloTracker, SpanContext, SpanGuard, TraceBuffer};
+use tkc_obs::{Counter, Histogram, SloTarget, SloTracker, SpanGuard, TraceBuffer};
 
 use crate::engine::Engine;
 use crate::error::{EngineError, EngineState};
 use crate::proto::{parse_batch_line, parse_command, Command};
-use crate::wal::WalOp;
 
 /// Per-command request counter + latency histogram, labeled
 /// `{cmd="<VERB>"}` on the engine's registry.
@@ -107,11 +109,6 @@ fn static_verb(verb: &str) -> &'static str {
         .unwrap_or("OTHER")
 }
 
-/// One queued `BATCH` body plus the span context of the request that
-/// queued it, so the ingest thread's spans link back to the client's
-/// trace.
-type QueuedBatch = (Vec<WalOp>, Option<SpanContext>);
-
 /// Per-verb serving metrics plus the shedding/timeout counters, shared by
 /// every connection thread.
 #[derive(Debug)]
@@ -126,7 +123,8 @@ struct ServerMetrics {
     shed_line: Counter,
     /// Connections closed for exhausting their request budget.
     shed_budget: Counter,
-    /// Queued batches dropped because apply failed (engine degraded).
+    /// `BATCH` requests refused because apply failed (degraded engine,
+    /// follower, invalid op).
     batches_dropped: Counter,
     /// Requests that tripped the `--slow-op-ms` slow-op log.
     slow_ops: Counter,
@@ -169,7 +167,7 @@ impl ServerMetrics {
             shed_budget: shed("request_budget"),
             batches_dropped: reg.counter(
                 "tkc_server_batches_dropped_total",
-                "Queued batches dropped because apply failed",
+                "BATCH requests refused because apply failed",
             ),
             slow_ops: reg.counter(
                 "tkc_server_slow_ops_total",
@@ -195,8 +193,6 @@ pub struct DrainSummary {
     /// Connections accepted over the server's lifetime (all closed by the
     /// time the summary exists).
     pub connections: u64,
-    /// Batches drained from the ingest queue and applied.
-    pub batches_flushed: u64,
     /// Total mutation ops applied by the engine.
     pub ops_applied: u64,
 }
@@ -207,8 +203,6 @@ pub struct ServeOptions {
     /// Per-connection read timeout; a connection idle longer is reaped
     /// (counted in `tkc_conn_timeouts_total`).
     pub read_timeout: Duration,
-    /// Capacity (in batches) of the bounded ingest queue.
-    pub queue_cap: usize,
     /// Maximum concurrent connections; extras get `ERR BUSY` and are
     /// closed immediately.
     pub max_conns: usize,
@@ -233,7 +227,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             read_timeout: Duration::from_secs(60),
-            queue_cap: 128,
             max_conns: 256,
             max_line_bytes: 64 << 10,
             request_budget: 0,
@@ -257,17 +250,12 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// spawns the accept loop, the ingest thread, and the recovery
-    /// supervisor.
+    /// spawns the accept loop and the recovery supervisor.
     pub fn start(engine: Arc<Engine>, addr: &str, opts: ServeOptions) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = sync_channel::<QueuedBatch>(opts.queue_cap.max(1));
         let server_metrics = Arc::new(ServerMetrics::register(&engine, &opts.slo));
-        let ingest_engine = Arc::clone(&engine);
-        let dropped = server_metrics.batches_dropped.clone();
-        let ingest = std::thread::spawn(move || ingest_loop(ingest_engine, rx, dropped));
 
         let supervisor_engine = Arc::clone(&engine);
         let supervisor_stop = Arc::clone(&stop);
@@ -296,37 +284,32 @@ impl Server {
                 live_conns.fetch_add(1, Ordering::Relaxed);
                 let engine = Arc::clone(&engine);
                 let metrics = Arc::clone(&server_metrics);
-                let tx = tx.clone();
                 let stop = Arc::clone(&accept_stop);
                 let live = Arc::clone(&live_conns);
                 let conn_opts = opts.clone();
                 conns.push(std::thread::spawn(move || {
-                    let _ = handle_connection(stream, &engine, &metrics, &tx, &stop, &conn_opts);
+                    let _ = handle_connection(stream, &engine, &metrics, &stop, &conn_opts);
                     engine.metrics().active_connections.add(-1.0);
                     live.fetch_sub(1, Ordering::Relaxed);
                 }));
                 conns.retain(|h| !h.is_finished());
             }
-            // Stop accepting, wait for in-flight connections, then let the
-            // ingest thread drain the queue (dropping tx closes it).
+            // Stop accepting and wait for in-flight connections; each has
+            // finished its apply, so every acknowledged write is in.
             for h in conns {
                 let _ = h.join();
             }
-            drop(tx);
-            let batches_flushed = ingest.join().unwrap_or(0);
             let _ = supervisor.join();
             // Final epoch + compaction so a clean restart replays nothing.
             engine.publish();
             let _ = engine.compact();
             let summary = DrainSummary {
                 connections: engine.metrics().connections.get(),
-                batches_flushed,
                 ops_applied: engine.metrics().ops_applied.get(),
             };
             tkc_obs::info!(
-                "server drained: {} connections closed, {} batches flushed, {} ops applied",
+                "server drained: {} connections closed, {} ops applied",
                 summary.connections,
-                summary.batches_flushed,
                 summary.ops_applied
             );
             summary
@@ -344,8 +327,8 @@ impl Server {
     }
 
     /// Requests a graceful stop and waits for every thread: in-flight
-    /// connections finish, the ingest queue drains, and the engine is
-    /// compacted. Returns the final drain accounting.
+    /// connections finish and the engine is compacted. Returns the final
+    /// drain accounting.
     pub fn shutdown(self) -> DrainSummary {
         self.stop.store(true, Ordering::Relaxed);
         // Unblock the accept loop with a throwaway connection.
@@ -409,34 +392,6 @@ fn nap(stop: &AtomicBool, total: Duration) {
     }
 }
 
-/// Applies queued batches until every sender is gone (shutdown drains the
-/// queue by construction: senders are dropped first, then this returns).
-/// Returns the number of batches applied.
-///
-/// A failing apply (degraded engine) drops that batch — it was only ever
-/// acknowledged as *queued* — and keeps consuming, so the queue never
-/// wedges and ingestion resumes by itself once the engine recovers.
-fn ingest_loop(engine: Arc<Engine>, rx: Receiver<QueuedBatch>, dropped: Counter) -> u64 {
-    let mut applied = 0u64;
-    while let Ok((batch, ctx)) = rx.recv() {
-        engine.metrics().batch_queue_depth.add(-1.0);
-        // Continue the enqueuing request's trace on this thread; the
-        // engine's apply spans become children of `engine.ingest`.
-        let _ingest_span = SpanGuard::follow("engine.ingest", ctx);
-        match engine.apply(&batch) {
-            Ok(_) => {
-                applied += 1;
-                engine.metrics().batches_applied.inc();
-            }
-            Err(e) => {
-                dropped.inc();
-                tkc_obs::warn!("queued batch of {} ops dropped: {e}", batch.len());
-            }
-        }
-    }
-    applied
-}
-
 /// Outcome of one bounded line read.
 enum LineRead {
     /// A complete line is in the buffer (newline stripped).
@@ -498,7 +453,6 @@ fn handle_connection(
     stream: TcpStream,
     engine: &Engine,
     metrics: &ServerMetrics,
-    tx: &SyncSender<QueuedBatch>,
     stop: &AtomicBool,
     opts: &ServeOptions,
 ) -> std::io::Result<()> {
@@ -584,7 +538,7 @@ fn handle_connection(
         let trace_id = req_span.trace_id();
         let start = Instant::now();
         let flow = match parsed {
-            Ok(cmd) => respond(cmd, engine, metrics, tx, &mut reader, &mut out, opts)?,
+            Ok(cmd) => respond(cmd, engine, metrics, &mut reader, &mut out, opts)?,
             Err(e) => {
                 writeln!(out, "ERR {e}")?;
                 Flow::Continue
@@ -634,12 +588,10 @@ fn write_engine_err(out: &mut TcpStream, e: &EngineError) -> std::io::Result<()>
 }
 
 /// Answers a single parsed command.
-#[allow(clippy::too_many_arguments)]
 fn respond(
     cmd: Command,
     engine: &Engine,
     metrics: &ServerMetrics,
-    tx: &SyncSender<QueuedBatch>,
     reader: &mut BufReader<TcpStream>,
     out: &mut TcpStream,
     opts: &ServeOptions,
@@ -681,6 +633,7 @@ fn respond(
         },
         Command::Batch(n) => {
             let mut ops = Vec::with_capacity((n as usize).min(4096));
+            let mut bad_op = None;
             let mut body = Vec::new();
             for i in 0..n {
                 match read_bounded_line(reader, &mut body, opts.max_line_bytes)? {
@@ -695,37 +648,27 @@ fn respond(
                         return Ok(Flow::Quit);
                     }
                 }
-                let text = String::from_utf8_lossy(&body);
-                match parse_batch_line(text.trim()) {
-                    Some(op) => ops.push(op),
-                    None => {
-                        writeln!(out, "ERR batch op {i}: expected '+ u v' or '- u v'")?;
-                        return Ok(Flow::Continue);
+                // After a malformed line, keep reading (and discarding) the
+                // rest of the batch so none of it runs as a command.
+                if bad_op.is_none() {
+                    match parse_batch_line(String::from_utf8_lossy(&body).trim()) {
+                        Some(op) => ops.push(op),
+                        None => bad_op = Some(i),
                     }
                 }
             }
-            // Bounded queue: blocks when full — backpressure on the
-            // client instead of unbounded buffering in the server. The
-            // try_send probe only adds accounting; semantics match the
-            // old unconditional blocking send. The request's span context
-            // rides along so the ingest thread links back to this trace.
-            let ctx = tkc_obs::span::current();
-            let sent = match tx.try_send((ops, ctx)) {
-                Ok(()) => Ok(()),
-                Err(TrySendError::Full(batch)) => {
-                    em.backpressure_waits.inc();
-                    let _queue_span = SpanGuard::child("queue.wait");
-                    tx.send(batch).map_err(|_| ())
+            if let Some(i) = bad_op {
+                writeln!(out, "ERR batch op {i}: expected '+ u v' or '- u v'")?;
+                return Ok(Flow::Continue);
+            }
+            // `queued` is kept for wire compatibility; the reply is sent
+            // only once the batch is applied and durable.
+            match engine.apply(&ops) {
+                Ok(_) => writeln!(out, "OK queued {n}")?,
+                Err(e) => {
+                    metrics.batches_dropped.inc();
+                    write_engine_err(out, &e)?;
                 }
-                Err(TrySendError::Disconnected(_)) => Err(()),
-            };
-            match sent {
-                Ok(()) => {
-                    em.batches_enqueued.inc();
-                    em.batch_queue_depth.add(1.0);
-                    writeln!(out, "OK queued {n}")?;
-                }
-                Err(()) => writeln!(out, "ERR ingest stopped")?,
             }
         }
         Command::Epoch => {
@@ -841,7 +784,6 @@ mod tests {
     fn test_opts() -> ServeOptions {
         ServeOptions {
             read_timeout: Duration::from_secs(2),
-            queue_cap: 4,
             ..ServeOptions::default()
         }
     }
@@ -899,27 +841,28 @@ mod tests {
         server.join();
     }
 
+    /// The `ops_applied` line of `STATS`.
+    fn ops_applied(c: &mut Client) -> u64 {
+        assert_eq!(c.send("STATS"), "OK");
+        c.read_until_dot()
+            .iter()
+            .find_map(|l| l.strip_prefix("ops_applied "))
+            .unwrap()
+            .parse()
+            .unwrap()
+    }
+
     #[test]
-    fn batch_path_applies_through_bounded_queue() {
-        let (server, addr) = start_server("batch");
+    fn batch_is_applied_before_its_reply() {
+        let (server, addr, engine) = start_with("batch", |_| {}, test_opts());
         let mut c = Client::connect(addr);
-        writeln!(c.stream, "BATCH 3\n+ 0 1\n+ 1 2\n+ 2 0").unwrap();
-        let mut line = String::new();
-        c.reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim_end(), "OK queued 3");
-        // Async path: poll STATS until the triangle's ops are applied.
-        for _ in 0..200 {
-            assert_eq!(c.send("STATS"), "OK");
-            let stats = c.read_until_dot();
-            if stats.iter().any(|l| l == "ops_applied 3") {
-                assert_eq!(c.send("EPOCH"), "OK 2");
-                assert_eq!(c.send("KAPPA 0 1"), "OK 1");
-                server.shutdown();
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        panic!("batch never applied");
+        assert_eq!(c.send("BATCH 3\n+ 0 1\n+ 1 2\n+ 2 0"), "OK queued 3");
+        // The reply means applied and in the WAL: no polling.
+        assert_eq!(ops_applied(&mut c), 3);
+        assert_eq!(engine.applied_seq(), 3);
+        assert_eq!(c.send("EPOCH"), "OK 2");
+        assert_eq!(c.send("KAPPA 0 1"), "OK 1");
+        server.shutdown();
     }
 
     #[test]
@@ -1002,11 +945,15 @@ mod tests {
     fn bad_batch_lines_are_rejected() {
         let (server, addr) = start_server("badbatch");
         let mut c = Client::connect(addr);
-        writeln!(c.stream, "BATCH 1\n* 0 1").unwrap();
-        let mut line = String::new();
-        c.reader.read_line(&mut line).unwrap();
-        assert!(line.starts_with("ERR batch op 0"));
-        assert_eq!(c.send("PING"), "OK pong"); // connection survives
+        // A bad first line, and a bad line with good ones after it: the
+        // rest of the batch is discarded, never run as commands, so each
+        // request gets exactly one reply and nothing is applied.
+        for batch in ["BATCH 1\n* 0 1", "BATCH 3\n* 0 1\n+ 1 2\n+ 2 0"] {
+            let reply = c.send(batch);
+            assert!(reply.starts_with("ERR batch op 0"), "got {reply}");
+            assert_eq!(c.send("PING"), "OK pong"); // connection survives
+        }
+        assert_eq!(ops_applied(&mut c), 0);
         server.shutdown();
     }
 
@@ -1109,7 +1056,7 @@ mod tests {
             "degraded",
             move |config| config.fault_plan = Some(inject),
             ServeOptions {
-                recover_backoff: Duration::from_millis(200),
+                recover_backoff: Duration::from_millis(500),
                 ..test_opts()
             },
         );
@@ -1123,6 +1070,12 @@ mod tests {
         assert!(c.send("HEALTH").starts_with("OK read_only"));
         // Reads keep serving the last epoch while degraded.
         assert_eq!(c.send("KAPPA 0 1"), "OK 0");
+        // A BATCH is refused, not acknowledged and dropped. The
+        // supervisor's backoff (500 ms) keeps the engine degraded here.
+        let applied = ops_applied(&mut c);
+        let reply = c.send("BATCH 1\n+ 2 0");
+        assert!(reply.starts_with("ERR DEGRADED"), "got {reply}");
+        assert_eq!(ops_applied(&mut c), applied);
         let next = c.send("INSERT 2 0");
         assert!(
             next.starts_with("ERR DEGRADED") || next.starts_with("OK"),
@@ -1154,6 +1107,10 @@ mod tests {
         let mut c = Client::connect(addr);
         let reply = c.send("INSERT 4294967295 0");
         assert!(reply.starts_with("ERR INVALID"), "got {reply}");
+        // The same op in a BATCH is refused whole, not acknowledged.
+        let reply = c.send("BATCH 2\n+ 0 1\n+ 4294967295 0");
+        assert!(reply.starts_with("ERR INVALID"), "got {reply}");
+        assert_eq!(ops_applied(&mut c), 0);
         // The engine is still healthy and writable.
         assert_eq!(c.send("HEALTH"), "OK serving");
         assert_eq!(c.send("INSERT 0 1"), "OK kappa=0");
@@ -1259,6 +1216,11 @@ mod tests {
 
         // Follower writes are redirected to the primary's repl address.
         assert_eq!(f.send("INSERT 5 6"), format!("ERR READONLY {repl_addr}"));
+        assert_eq!(
+            f.send("BATCH 1\n+ 5 6"),
+            format!("ERR READONLY {repl_addr}")
+        );
+        assert_eq!(ops_applied(&mut f), 3);
         let health = f.send("HEALTH");
         assert!(
             health.starts_with(&format!("OK follower following {repl_addr}"))

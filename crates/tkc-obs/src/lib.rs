@@ -52,7 +52,7 @@ pub mod trace;
 pub use logger::Level;
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use slo::{SloTarget, SloTracker};
-pub use span::{SpanContext, SpanGuard, SpanRecord};
+pub use span::{SpanGuard, SpanRecord};
 pub use trace::TraceBuffer;
 
 use std::sync::atomic::{AtomicBool, Ordering};
